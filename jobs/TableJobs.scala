@@ -26,7 +26,7 @@ object Table7Job { def main(args: Array[String]): Unit = TableRunners.table7() }
   */
 object JoinDemo {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-join-demo")
       .getOrCreate()

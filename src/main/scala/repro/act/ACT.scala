@@ -1,6 +1,5 @@
 package repro.act
 
-import repro.core.RefList
 import repro.grid.CellId
 import scala.collection.mutable
 
@@ -47,23 +46,6 @@ final class ACT(val bitsPerLevel: Int) extends repro.index.CellIndex {
   def nodeCount: Int = nodes.length
   /** Size in bytes: slot arrays (the paper's 8-byte-pointer arrays). */
   def sizeBytes: Long = nodes.length.toLong * fanout * 8
-
-  /** Average node depth of all value slots (paper's tree-depth metric). */
-  def avgValueDepth: Double = {
-    var sum = 0L; var cnt = 0L
-    def rec(nodeIdx: Int, depth: Int): Unit = {
-      val n = nodes(nodeIdx)
-      var i = 0
-      while (i < n.length) {
-        val e = n(i)
-        if (TaggedEntry.tag(e) == TaggedEntry.TagPointer) rec(TaggedEntry.pointerTarget(e), depth + 1)
-        else if (e != TaggedEntry.NoHit) { sum += depth; cnt += 1 }
-        i += 1
-      }
-    }
-    rec(0, 0)
-    if (cnt == 0) 0.0 else sum.toDouble / cnt
-  }
 
   /** Probe with a leaf (level-30) cell id; returns a value entry or NoHit.
     * Straight transcription of Listing 2 plus the root prefix check.
@@ -143,12 +125,12 @@ final class ACT(val bitsPerLevel: Int) extends repro.index.CellIndex {
 
 object ACT {
 
-  /** Build an ACT over sorted super-covering arrays. The root common prefix
-    * is the longest β-aligned prefix shared by all cell paths (and no longer
-    * than the shortest key).
+  /** Build an ACT over sorted super-covering cells and their value entries
+    * (see [[repro.core.ActIndex.entries]]). The root common prefix is the
+    * longest β-aligned prefix shared by all cell paths (and no longer than
+    * the shortest key).
     */
-  def build(bitsPerLevel: Int, cellIds: Array[Long], refLists: Array[RefList],
-            lut: LookupTable): ACT = {
+  def build(bitsPerLevel: Int, cellIds: Array[Long], entries: Array[Long]): ACT = {
     val act = new ACT(bitsPerLevel)
     if (cellIds.nonEmpty) {
       // Longest common bit prefix across all paths, capped by min key length.
@@ -173,7 +155,7 @@ object ACT {
 
       i = 0
       while (i < cellIds.length) {
-        act.writeCell(cellIds(i), TaggedEntry.encode(refLists(i), lut))
+        act.writeCell(cellIds(i), entries(i))
         i += 1
       }
     }

@@ -30,19 +30,6 @@ final class LookupTable extends Serializable {
 
   @inline def apply(i: Int): Int = data(i)
 
-  /** Decode the entry at `off` back into a [[RefList]] (tests/training). */
-  def decode(off: Int): RefList = {
-    val out = mutable.ArrayBuffer.empty[Int]
-    var i = off
-    val nT = data(i); i += 1
-    var k = 0
-    while (k < nT) { out += PolygonRef(data(i), interior = true); i += 1; k += 1 }
-    val nC = data(i); i += 1
-    k = 0
-    while (k < nC) { out += PolygonRef(data(i), interior = false); i += 1; k += 1 }
-    RefList.of(out.toArray)
-  }
-
   def sizeInts: Int = data.length
   def sizeBytes: Long = data.length.toLong * 4
 }

@@ -1,6 +1,6 @@
 package repro.act
 
-import repro.core.RefList
+import repro.core.{PolygonRef, RefList}
 
 /** Tagged 64-bit slot entries (§3.1.2): a slot in an ACT node — and a
   * lookup result in every baseline structure, so all indexes are probed and
@@ -45,15 +45,32 @@ object TaggedEntry {
     case _ => offset(lut.internAll(refs))
   }
 
-  /** Decode a value entry back to a [[RefList]] (tests / training; the join
-    * kernels decode inline without allocating — see [[repro.core.Join]]).
+  /** Write the polygon references of value entry `e` into the caller-owned
+    * `buf` and return how many there are (0 for no hit). A lookup-table
+    * entry yields its true hits, then its candidates. `buf` must hold every
+    * reference: max(2, #polygons) always suffices. The two join kernels
+    * decode inline instead (see [[repro.core.Join]]).
     */
-  def decode(e: Long, lut: LookupTable): RefList = tag(e) match {
+  def refsInto(e: Long, lut: LookupTable, buf: Array[Int]): Int = tag(e) match {
     case TagInline =>
+      buf(0) = inlineRef1(e)
       val r2 = inlineRef2(e)
-      if (r2 < 0) RefList(Array(inlineRef1(e)))
-      else RefList.of(Array(inlineRef1(e), r2))
-    case TagOffset => lut.decode(offsetValue(e))
-    case _         => RefList.empty
+      if (r2 < 0) 1 else { buf(1) = r2; 2 }
+    case TagOffset =>
+      val off = offsetValue(e)
+      val nT = lut(off)
+      val nC = lut(off + 1 + nT)
+      var k = 0
+      while (k < nT) { buf(k) = PolygonRef(lut(off + 1 + k), interior = true); k += 1 }
+      k = 0
+      while (k < nC) { buf(nT + k) = PolygonRef(lut(off + 2 + nT + k), interior = false); k += 1 }
+      nT + nC
+    case _ => 0
+  }
+
+  /** Decode a value entry back to a [[RefList]] (tests and checks). */
+  def decode(e: Long, lut: LookupTable): RefList = {
+    val buf = new Array[Int](math.max(2, lut.sizeInts))
+    RefList.of(buf.take(refsInto(e, lut, buf)))
   }
 }

@@ -3,11 +3,10 @@ package repro.bench
 import repro.act.{ACT, LookupTable}
 import repro.core._
 import repro.geo.Polygon
-import repro.grid.{CellId, Covering}
+import repro.grid.CellId
 import repro.index._
 import repro.spatial.SpatialData
 import scala.collection.mutable
-import scala.collection.parallel.CollectionConverters._
 
 /** Shared harness behind the per-table benchmarks (bench/) and the
   * spark-submit jobs (jobs/): dataset registry, timed builds (memoized per
@@ -58,13 +57,9 @@ object Tables {
   def covering(name: String, precision: Option[Double]): BuiltCovering =
     coveringCache.getOrElseUpdate((name, precision), {
       val polys = SpatialData.dataset(name)
-      val (cov, tInd) = time {
-        val covs = polys.par.map(p => p.id -> Covering.covering(p)).seq.toSeq
-        val ints = polys.par.map(p => p.id -> Covering.interiorCovering(p)).seq.toSeq
-        (covs, ints)
-      }
+      val ((covs, ints), tInd) = time(SuperCovering.coverings(polys))
       val (sc, tSuper) = time {
-        val s = SuperCovering.build(cov._1, cov._2)
+        val s = SuperCovering.build(covs, ints)
         precision.foreach(p => SuperCovering.refineToPrecision(s, CellId.levelForPrecision(p), polys))
         s
       }
@@ -89,12 +84,11 @@ object Tables {
   def indexes(name: String, precision: Option[Double]): BuiltIndexes =
     indexCache.getOrElseUpdate((name, precision), {
       val bc = covering(name, precision)
-      val (ids, refs) = bc.sc.toSortedArrays
       val lut = new LookupTable
-      val entries = refs.map(r => repro.act.TaggedEntry.encode(r, lut))
-      val (a1, t1) = time(ACT.build(2, ids, refs, lut))
-      val (a2, t2) = time(ACT.build(4, ids, refs, lut))
-      val (a4, t4) = time(ACT.build(8, ids, refs, lut))
+      val (ids, entries) = ActIndex.entries(bc.sc, lut)
+      val (a1, t1) = time(ACT.build(2, ids, entries))
+      val (a2, t2) = time(ACT.build(4, ids, entries))
+      val (a4, t4) = time(ACT.build(8, ids, entries))
       val (gbt, tg) = time(BTreeCellIndex(ids, entries))
       val lb = SortedCellVector(ids, entries)
       BuiltIndexes(lut, ids, entries, a1, a2, a4, gbt, lb,

@@ -14,7 +14,9 @@ final class JoinStats {
   var pipTests: Long = 0L      // refinement PIP tests performed
   var sthPoints: Long = 0L     // points resolved by solely true hits (§4.2)
 
-  /** Solely-true-hits percentage over points that matched the index. */
+  /** Solely-true-hits percentage: points that needed no PIP test, over all
+    * points probed (only the exact kernel counts `sthPoints`).
+    */
   def sthPercent: Double =
     if (points == 0) 0.0 else 100.0 * sthPoints / points
   override def toString =
@@ -173,13 +175,16 @@ object Join {
 /** A built polygon index: the super covering plus its ACT plus the shared
   * lookup table — the unit the Spark operator broadcasts, and the object
   * the accurate algorithm trains (§3.3.1).
+  *
+  * Polygon ids are array positions: `polys(id)` is the polygon with that
+  * id, which the build checks.
   */
 final class ActIndex(val polys: Array[Polygon],
                      val sc: SuperCovering,
                      val lut: LookupTable,
                      val act: ACT) extends Serializable {
 
-  private val byId: Map[Int, Polygon] = polys.map(p => p.id -> p).toMap
+  ActIndex.requireIdsArePositions(polys)
 
   /** Train with historical points (§3.3.1): a training point hitting an
     * expensive cell (>= 1 candidate ref) replaces that cell with its four
@@ -209,7 +214,7 @@ final class ActIndex(val polys: Array[Polygon],
           var k = 0
           while (k < 4) {
             val c = CellId.child(cell, k)
-            val childRefs = SuperCovering.reclassify(c, refs, byId)
+            val childRefs = SuperCovering.reclassify(c, refs, polys)
             if (childRefs.isEmpty) {
               act.writeCell(c, TaggedEntry.NoHit)
             } else {
@@ -236,6 +241,7 @@ object ActIndex {
     */
   def build(polys: Array[Polygon], bitsPerLevel: Int = 8,
             precisionMeters: Option[Double] = None): ActIndex = {
+    requireIdsArePositions(polys)
     val sc = SuperCovering.ofPolygons(polys)
     precisionMeters.foreach { p =>
       SuperCovering.refineToPrecision(sc, CellId.levelForPrecision(p), polys)
@@ -245,10 +251,9 @@ object ActIndex {
 
   def fromSuperCovering(polys: Array[Polygon], sc: SuperCovering,
                         bitsPerLevel: Int): ActIndex = {
-    val (ids, refs) = sc.toSortedArrays
     val lut = new LookupTable
-    val act = ACT.build(bitsPerLevel, ids, refs, lut)
-    new ActIndex(polys, sc, lut, act)
+    val (ids, entries) = ActIndex.entries(sc, lut)
+    new ActIndex(polys, sc, lut, ACT.build(bitsPerLevel, ids, entries))
   }
 
   /** Materialize the (id, taggedEntry) pairs of a super covering — the
@@ -257,5 +262,17 @@ object ActIndex {
   def entries(sc: SuperCovering, lut: LookupTable): (Array[Long], Array[Long]) = {
     val (ids, refs) = sc.toSortedArrays
     (ids, refs.map(r => TaggedEntry.encode(r, lut)))
+  }
+
+  /** The polygon-id rule the kernels and the Spark operator rely on:
+    * `polys(id)` is the polygon with that id, so ids are exactly 0..n-1.
+    */
+  def requireIdsArePositions(polys: Array[Polygon]): Unit = {
+    var i = 0
+    while (i < polys.length) {
+      require(polys(i).id == i, s"polygon ids must equal array positions 0..${polys.length - 1}, " +
+        s"but position $i holds polygon id ${polys(i).id}")
+      i += 1
+    }
   }
 }

@@ -37,7 +37,6 @@ final case class RefList(refs: Array[Int]) {
   def candidates: Array[Int] = refs.filterNot(PolygonRef.isInterior)
 
   def merge(other: RefList): RefList = RefList.of(refs ++ other.refs)
-  def add(ref: Int): RefList = RefList.of(refs :+ ref)
 
   override def equals(o: Any): Boolean = o match {
     case RefList(r) => java.util.Arrays.equals(refs, r)

@@ -127,17 +127,17 @@ object SuperCovering {
     sc
   }
 
-  /** Convenience: compute per-polygon approximations (parallelized over
-    * polygons, like the paper) and merge them (serial, like the paper).
+  /** Per-polygon coverings and interior coverings, computed in parallel
+    * over polygons like the paper — the input of [[build]].
     */
-  def ofPolygons(polys: Array[Polygon],
-                 maxCoveringCells: Int = Covering.DefaultMaxCoveringCells,
-                 maxCoveringLevel: Int = Covering.DefaultMaxCoveringLevel,
-                 maxInteriorCells: Int = Covering.DefaultMaxInteriorCells,
-                 maxInteriorLevel: Int = Covering.DefaultMaxInteriorLevel): SuperCovering = {
-    val covs = polys.par.map(p => p.id -> Covering.covering(p, maxCoveringCells, maxCoveringLevel)).seq
-    val ints = polys.par.map(p => p.id -> Covering.interiorCovering(p, maxInteriorCells, maxInteriorLevel)).seq
-    build(covs.toSeq, ints.toSeq)
+  def coverings(polys: Array[Polygon]): (Seq[(Int, Vector[Long])], Seq[(Int, Vector[Long])]) =
+    (polys.par.map(p => p.id -> Covering.covering(p)).seq.toSeq,
+     polys.par.map(p => p.id -> Covering.interiorCovering(p)).seq.toSeq)
+
+  /** The per-polygon coverings merged (serially, like the paper). */
+  def ofPolygons(polys: Array[Polygon]): SuperCovering = {
+    val (covs, ints) = coverings(polys)
+    build(covs, ints)
   }
 
   /** Refine `sc` in place so no *boundary* cell (a cell with >=1 candidate
@@ -146,10 +146,10 @@ object SuperCovering {
     * (outside descendants dropped, inside ones become true hits).
     *
     * Guarantees any false positive of the approximate join lies within
-    * `diagonalAtLevel(minLevel)` of the matched polygon.
+    * `diagonalAtLevel(minLevel)` of the matched polygon. `polys(id)` must be
+    * the polygon with that id.
     */
   def refineToPrecision(sc: SuperCovering, minLevel: Int, polys: Array[Polygon]): Unit = {
-    val byId: Map[Int, Polygon] = polys.map(p => p.id -> p).toMap
     val expensive = mutable.ArrayBuffer.empty[Long]
     sc.foreachCell { (id, refs) =>
       if (refs.isExpensive) expensive += id
@@ -162,10 +162,10 @@ object SuperCovering {
     expensive.foreach { id =>
       val refs = sc.cells.remove(id)
       if (refs != null) {
-        val cleaned = reclassify(id, refs, byId)
+        val cleaned = reclassify(id, refs, polys)
         if (!cleaned.isEmpty) {
           if (cleaned.isExpensive && CellId.level(id) < minLevel)
-            refineCell(sc, id, cleaned, minLevel, byId)
+            refineCell(sc, id, cleaned, minLevel, polys)
           else
             sc.cells.put(id, cleaned)
         }
@@ -177,7 +177,7 @@ object SuperCovering {
     * refs per descendant. Shared by precision refinement and training.
     */
   private[core] def refineCell(sc: SuperCovering, cell: Long, refs: RefList,
-                               toLevel: Int, byId: Map[Int, Polygon]): Unit = {
+                               toLevel: Int, polys: Array[Polygon]): Unit = {
     if (CellId.level(cell) >= toLevel) {
       if (!refs.isEmpty) sc.cells.put(cell, refs)
       return
@@ -185,9 +185,9 @@ object SuperCovering {
     var k = 0
     while (k < 4) {
       val c = CellId.child(cell, k)
-      val childRefs = reclassify(c, refs, byId)
+      val childRefs = reclassify(c, refs, polys)
       if (!childRefs.isEmpty) {
-        if (childRefs.isExpensive) refineCell(sc, c, childRefs, toLevel, byId)
+        if (childRefs.isExpensive) refineCell(sc, c, childRefs, toLevel, polys)
         else sc.cells.put(c, childRefs) // all true hits: no need to go finer
       }
       k += 1
@@ -198,18 +198,15 @@ object SuperCovering {
     * (the cell is inside wherever its ancestor was), and re-run the
     * cell-polygon relation for candidate refs.
     */
-  private[core] def reclassify(c: Long, refs: RefList, byId: Map[Int, Polygon]): RefList = {
+  private[core] def reclassify(c: Long, refs: RefList, polys: Array[Polygon]): RefList = {
     val b = CellId.bounds(c)
     val out = mutable.ArrayBuffer.empty[Int]
     refs.refs.foreach { r =>
       if (PolygonRef.isInterior(r)) out += r
-      else byId.get(PolygonRef.polygonId(r)) match {
-        case Some(p) => p.relation(b) match {
-          case CellRelation.Inside   => out += PolygonRef.asInterior(r)
-          case CellRelation.Boundary => out += r
-          case CellRelation.Outside  => ()
-        }
-        case None => out += r // unknown geometry: keep as candidate
+      else polys(PolygonRef.polygonId(r)).relation(b) match {
+        case CellRelation.Inside   => out += PolygonRef.asInterior(r)
+        case CellRelation.Boundary => out += r
+        case CellRelation.Outside  => ()
       }
     }
     RefList.of(out.toArray)

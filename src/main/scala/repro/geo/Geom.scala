@@ -126,21 +126,6 @@ final case class Polygon(id: Int, xs: Array[Double], ys: Array[Double]) {
     // inside the rect, caught above).
     if (contains(r.centerX, r.centerY)) CellRelation.Inside else CellRelation.Outside
   }
-
-  /** Count crossings of segment (ax,ay)-(bx,by) with the polygon boundary,
-    * used by the S2ShapeIndex-style baseline's restricted PIP.
-    */
-  def segmentCrossings(ax: Double, ay: Double, bx: Double, by: Double): Int = {
-    var c = 0
-    var i = 0
-    var j = n - 1
-    while (i < n) {
-      if (Polygon.segmentsCross(ax, ay, bx, by, xs(j), ys(j), xs(i), ys(i))) c += 1
-      j = i
-      i += 1
-    }
-    c
-  }
 }
 
 object Polygon {

@@ -2,7 +2,6 @@ package repro.index
 
 import repro.geo.{MBR, Polygon}
 import repro.grid.CellId
-import scala.collection.mutable
 
 /** Baseline "SI" (§4.2): a Google-S2ShapeIndex-style cell→edge index.
   *
@@ -19,7 +18,6 @@ import scala.collection.mutable
   */
 final class ShapeEdgeIndex private (
     leaves: java.util.TreeMap[Long, ShapeEdgeIndex.Leaf],
-    polys: Array[Polygon],
 ) extends Serializable {
 
   var accessCount: Long = 0L
@@ -109,7 +107,6 @@ object ShapeEdgeIndex {
         Edge(p.id, p.xs(i), p.ys(i), p.xs(j), p.ys(j))
       }
     }
-    val byId: Map[Int, Polygon] = polys.map(p => p.id -> p).toMap
     val leaves = new java.util.TreeMap[Long, Leaf]()
 
     def edgeInCell(e: Edge, b: MBR): Boolean =
@@ -132,7 +129,7 @@ object ShapeEdgeIndex {
         val cy = b.centerY
         // Polygons whose interior contains the centre (full PIP at build
         // time only — queries never run a full PIP).
-        val centerIn = byId.valuesIterator
+        val centerIn = polys.iterator
           .filter(p => p.mbr.containsPoint(cx, cy) && p.contains(cx, cy))
           .map(_.id).toArray.sorted
         if (edges.nonEmpty || centerIn.nonEmpty) {
@@ -146,6 +143,6 @@ object ShapeEdgeIndex {
     }
 
     build(CellId.fromPath60(0L, 0), allEdges)
-    new ShapeEdgeIndex(leaves, polys)
+    new ShapeEdgeIndex(leaves)
   }
 }

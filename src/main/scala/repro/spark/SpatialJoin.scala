@@ -47,11 +47,10 @@ object SpatialJoin {
     */
   def join(points: DataFrame, polysDf: DataFrame, exact: Boolean,
            precision: Option[Double] = None,
-           bitsPerLevel: Int = 8,
            trainingPoints: Array[Long] = Array.emptyLongArray,
            metrics: Option[Metrics] = None): DataFrame = {
     val polys = collectPolygons(polysDf)
-    val index = ActIndex.build(polys, bitsPerLevel, if (exact) None else precision)
+    val index = ActIndex.build(polys, 8, if (exact) None else precision)
     if (exact && trainingPoints.nonEmpty) index.train(trainingPoints)
     joinWithIndex(points, index, exact, metrics)
   }
@@ -71,12 +70,15 @@ object SpatialJoin {
       val act = idx.act
       val lut = idx.lut
       val polys = idx.polys
+      val refs = new Array[Int](math.max(2, polys.length))
       var probes = 0L; var trueHits = 0L; var cands = 0L; var pips = 0L
       val out = it.flatMap { case (id, x, y) =>
         probes += 1
-        val e = act.probe(CellId.fromPoint(x, y))
+        val n = TaggedEntry.refsInto(act.probe(CellId.fromPoint(x, y)), lut, refs)
         val res = mutable.ArrayBuffer.empty[(Long, Int)]
-        @inline def handle(ref: Int): Unit = {
+        var k = 0
+        while (k < n) {
+          val ref = refs(k)
           val pid = PolygonRef.polygonId(ref)
           if (PolygonRef.isInterior(ref)) { trueHits += 1; res += ((id, pid)) }
           else if (!exact) { cands += 1; res += ((id, pid)) }
@@ -84,21 +86,7 @@ object SpatialJoin {
             pips += 1
             if (polys(pid).contains(x, y)) { cands += 1; res += ((id, pid)) }
           }
-        }
-        TaggedEntry.tag(e) match {
-          case TaggedEntry.TagInline =>
-            handle(TaggedEntry.inlineRef1(e))
-            val r2 = TaggedEntry.inlineRef2(e)
-            if (r2 >= 0) handle(r2)
-          case TaggedEntry.TagOffset =>
-            var off = TaggedEntry.offsetValue(e)
-            val nT = lut(off); off += 1
-            var k = 0
-            while (k < nT) { handle(PolygonRef(lut(off), interior = true)); off += 1; k += 1 }
-            val nC = lut(off); off += 1
-            k = 0
-            while (k < nC) { handle(PolygonRef(lut(off), interior = false)); off += 1; k += 1 }
-          case _ => ()
+          k += 1
         }
         res
       }

@@ -2,54 +2,63 @@ package repro
 
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Join
+import repro.spatial.SpatialData
 
-/** Sanity checks of the DuckDB oracle itself on the TPC-H-lite generators,
-  * so failures in the spatial suites can be attributed to spatial code.
+/** Sanity checks of the DuckDB oracle itself on spatial tables — the naive
+  * join's pair table and a table of polygon attributes — so failures in the
+  * spatial suites can be attributed to spatial code.
   */
 class OracleSpec extends AnyFunSuite with SparkSpec {
 
-  private lazy val li = SynthData.lineitem(spark, sf = 0.001).cache()
-  private lazy val ord = SynthData.orders(spark, sf = 0.001).cache()
+  private val polys = SpatialData.polygonGrid(3, 8, 0.2, 0.15, seed = 1300L)
+  private val (xs, ys, _) = SpatialData.pointArrays(2000, taxi = true, seed = 1400L)
+
+  private lazy val pairs = {
+    import spark.implicits._
+    Join.naivePairs(xs, ys, polys).map { case (i, p) => (i.toLong, p, xs(i)) }
+      .toDF("point_id", "polygon_id", "x").cache()
+  }
+
+  /** One scalar attribute per polygon: its row in the 3 x 3 grid. */
+  private lazy val polygons = {
+    import spark.implicits._
+    polys.toSeq.map(p => (p.id, p.id / 3)).toDF("pid", "grid_row").cache()
+  }
 
   test("oracle validates a simple aggregation") {
-    val agg = li.groupBy("l_returnflag")
-      .agg(count(lit(1)) as "cnt", round(sum("l_quantity"), 2) as "qty")
+    val agg = pairs.groupBy("polygon_id")
+      .agg(count(lit(1)) as "cnt", round(sum("x"), 2) as "sx")
     Oracle.assertEquivalent(agg,
-      "SELECT l_returnflag, count(*) AS cnt, round(sum(CAST(l_quantity AS DOUBLE)), 2) AS qty " +
-      "FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li)
+      "SELECT polygon_id, count(*) AS cnt, round(sum(CAST(x AS DOUBLE)), 2) AS sx " +
+      "FROM pairs GROUP BY polygon_id",
+      "pairs" -> pairs)
   }
 
   test("oracle validates a join aggregation") {
-    val agg = li.join(ord, li("l_orderkey") === ord("o_orderkey"))
-      .groupBy("o_orderstatus").agg(count(lit(1)) as "cnt")
+    val agg = pairs.join(polygons, pairs("polygon_id") === polygons("pid"))
+      .groupBy("grid_row").agg(count(lit(1)) as "cnt")
     Oracle.assertEquivalent(agg,
-      "SELECT o_orderstatus, count(*) AS cnt FROM lineitem " +
-      "JOIN orders ON l_orderkey = o_orderkey GROUP BY o_orderstatus",
-      "lineitem" -> li, "orders" -> ord)
+      "SELECT grid_row, count(*) AS cnt FROM pairs " +
+      "JOIN polygons ON polygon_id = pid GROUP BY grid_row",
+      "pairs" -> pairs, "polygons" -> polygons)
   }
 
   test("oracle catches wrong results") {
-    val wrong = li.groupBy("l_returnflag").agg((count(lit(1)) + 1) as "cnt")
+    val wrong = pairs.groupBy("polygon_id").agg((count(lit(1)) + 1) as "cnt")
     intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(wrong,
-        "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+        "SELECT polygon_id, count(*) AS cnt FROM pairs GROUP BY polygon_id",
+        "pairs" -> pairs)
     }
   }
 
   test("oracle catches column mismatches") {
-    val agg = li.groupBy("l_returnflag").agg(count(lit(1)) as "wrong_name")
+    val agg = pairs.groupBy("polygon_id").agg(count(lit(1)) as "wrong_name")
     intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(agg,
-        "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+        "SELECT polygon_id, count(*) AS cnt FROM pairs GROUP BY polygon_id",
+        "pairs" -> pairs)
     }
-  }
-
-  test("SynthData generators are deterministic") {
-    val a = SynthData.lineitem(spark, sf = 0.0005).collect()
-    val b = SynthData.lineitem(spark, sf = 0.0005).collect()
-    assert(a.sameElements(b))
   }
 }

@@ -25,13 +25,18 @@ class ACTSpec extends AnyFunSuite {
     SuperCovering.build(covs, ints)
   }
 
+  /** An ACT over cells and their reference lists, encoded into `lut`. */
+  private def actOf(bits: Int, ids: Array[Long], refs: Array[RefList],
+                    lut: LookupTable = new LookupTable): ACT =
+    ACT.build(bits, ids, refs.map(TaggedEntry.encode(_, lut)))
+
   for (bits <- Seq(2, 4, 8)) {
     test(s"ACT$bits probe agrees with sorted-vector reference on random coverings") {
       val sc = randomSuperCovering(8, 12)
       val (ids, refs) = sc.toSortedArrays
       val lutA = new LookupTable
       val lutL = new LookupTable
-      val act = ACT.build(bits, ids, refs, lutA)
+      val act = actOf(bits, ids, refs, lutA)
       val lb = SortedCellVector(ids, refs.map(r => TaggedEntry.encode(r, lutL)))
       for (_ <- 1 to 5000) {
         val leaf = CellId.fromIJ(rnd.nextLong(1L << 30), rnd.nextLong(1L << 30), 30)
@@ -49,14 +54,14 @@ class ACTSpec extends AnyFunSuite {
   }
 
   test("probing an empty ACT misses") {
-    val act = ACT.build(8, Array.empty, Array.empty, new LookupTable)
+    val act = actOf(8, Array.empty, Array.empty)
     assert(act.probe(CellId.fromPoint(100, 100)) == TaggedEntry.NoHit)
   }
 
   test("single-cell ACT hits inside and misses outside") {
     val cell = CellId.fromIJ(2, 3, 4)
     val refs = RefList.single(PolygonRef(9, interior = true))
-    val act = ACT.build(8, Array(cell), Array(refs), new LookupTable)
+    val act = actOf(8, Array(cell), Array(refs))
     val b = CellId.bounds(cell)
     for (_ <- 1 to 200) {
       val inX = b.xMin + rnd.nextDouble() * b.width
@@ -74,7 +79,7 @@ class ACTSpec extends AnyFunSuite {
       // level 3 -> 6 key bits; not a multiple of 4 or 8.
       val cell = CellId.fromIJ(5, 2, 3)
       val refs = RefList.single(PolygonRef(3, interior = false))
-      val act = ACT.build(bits, Array(cell), Array(refs), new LookupTable)
+      val act = actOf(bits, Array(cell), Array(refs))
       val b = CellId.bounds(cell)
       for (_ <- 1 to 500) {
         val x = b.xMin + rnd.nextDouble() * b.width
@@ -89,7 +94,7 @@ class ACTSpec extends AnyFunSuite {
     val bigCell = CellId.fromIJ(0, 0, 4)     // 8 key bits -> depth 1 at fanout 256
     val smallCell = CellId.fromIJ((1L << 16) - 1, (1L << 16) - 1, 16) // 32 bits -> depth 4
     val refs = RefList.single(PolygonRef(1, interior = true))
-    val act = ACT.build(8, Array(bigCell, smallCell).sorted, Array(refs, refs), new LookupTable)
+    val act = actOf(8, Array(bigCell, smallCell).sorted, Array(refs, refs))
     val bBig = CellId.bounds(bigCell)
     act.probe(CellId.fromPoint(bBig.centerX, bBig.centerY))
     val dBig = act.lastDepth
@@ -102,15 +107,23 @@ class ACTSpec extends AnyFunSuite {
   test("higher fanout gives lower depth for the same covering") {
     val sc = randomSuperCovering(6, 10)
     val (ids, refs) = sc.toSortedArrays
-    val a1 = ACT.build(2, ids, refs, new LookupTable)
-    val a4 = ACT.build(8, ids, refs, new LookupTable)
-    assert(a4.avgValueDepth <= a1.avgValueDepth)
+    val a1 = actOf(2, ids, refs)
+    val a4 = actOf(8, ids, refs)
+    // Total traversal depth of the probes that hit a cell.
+    def depthSum(act: ACT, leaves: Seq[Long]): Long = leaves.map { leaf =>
+      if (act.probe(leaf) == TaggedEntry.NoHit) 0L else act.lastDepth.toLong
+    }.sum
+    val leaves = Seq.fill(5000)(CellId.fromIJ(rnd.nextLong(1L << 30), rnd.nextLong(1L << 30), 30))
+    val d4 = depthSum(a4, leaves)
+    val d1 = depthSum(a1, leaves)
+    assert(d1 > 0, "no probe hit the covering")
+    assert(d4 < d1, s"ACT4 depth $d4 should be < ACT1 depth $d1")
   }
 
   test("nodeAccesses metric counts accesses per probe") {
     val cell = CellId.fromIJ(0, 0, 4)
-    val act = ACT.build(8, Array(cell),
-      Array(RefList.single(PolygonRef(1, interior = true))), new LookupTable)
+    val act = actOf(8, Array(cell),
+      Array(RefList.single(PolygonRef(1, interior = true))))
     act.resetMetrics()
     val b = CellId.bounds(cell)
     act.probe(CellId.fromPoint(b.centerX, b.centerY))
@@ -121,7 +134,7 @@ class ACTSpec extends AnyFunSuite {
   test("writeCell push-down preserves surrounding values") {
     val parent = CellId.fromIJ(1, 1, 4)
     val refsP = RefList.single(PolygonRef(1, interior = false))
-    val act = ACT.build(8, Array(parent), Array(refsP), new LookupTable)
+    val act = actOf(8, Array(parent), Array(refsP))
     // Overwrite one child with a different value (training-style refinement).
     val child = CellId.child(parent, 0)
     val refsC = RefList.single(PolygonRef(2, interior = true))
@@ -141,8 +154,8 @@ class ACTSpec extends AnyFunSuite {
 
   test("writeCell with NoHit clears an area") {
     val parent = CellId.fromIJ(2, 2, 4)
-    val act = ACT.build(8, Array(parent),
-      Array(RefList.single(PolygonRef(1, interior = false))), new LookupTable)
+    val act = actOf(8, Array(parent),
+      Array(RefList.single(PolygonRef(1, interior = false))))
     val child = CellId.child(parent, 1)
     act.writeCell(child, TaggedEntry.NoHit)
     val cb = CellId.bounds(child)
@@ -156,7 +169,7 @@ class ACTSpec extends AnyFunSuite {
     val base = CellId.fromIJ(3, 3, 4)
     val cells = (0 to 3).map(k => CellId.child(CellId.child(base, k), 1)).sorted.toArray
     val refs = cells.map(_ => RefList.single(PolygonRef(1, interior = true)))
-    val act = ACT.build(8, cells, refs, new LookupTable)
+    val act = actOf(8, cells, refs)
     // A probe far away must be rejected by the prefix check without node access.
     act.resetMetrics()
     val far = CellId.fromPoint(10, 10)
@@ -170,7 +183,7 @@ class ACTSpec extends AnyFunSuite {
   test("sizeBytes grows with node count") {
     val sc = randomSuperCovering(6, 10)
     val (ids, refs) = sc.toSortedArrays
-    val act = ACT.build(8, ids, refs, new LookupTable)
+    val act = actOf(8, ids, refs)
     assert(act.sizeBytes == act.nodeCount.toLong * 256 * 8)
   }
 

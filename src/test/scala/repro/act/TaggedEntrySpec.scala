@@ -92,4 +92,17 @@ class TaggedEntrySpec extends AnyFunSuite {
     assert(lut(off + 3) == 1)      // one candidate
     assert(lut(off + 4) == 4)
   }
+
+  test("refsInto writes an entry's references into a caller buffer") {
+    val lut = new LookupTable
+    val refs = RefList.of(Array(PolygonRef(4, interior = false),
+      PolygonRef(2, interior = true), PolygonRef(9, interior = true)))
+    val buf = new Array[Int](8)
+    val n = TaggedEntry.refsInto(TaggedEntry.encode(refs, lut), lut, buf)
+    assert(buf.take(n).toSeq == Seq(PolygonRef(2, interior = true),
+      PolygonRef(9, interior = true), PolygonRef(4, interior = false)))
+    assert(TaggedEntry.refsInto(TaggedEntry.inline1(refs.refs(0)), lut, buf) == 1)
+    assert(buf(0) == refs.refs(0))
+    assert(TaggedEntry.refsInto(TaggedEntry.NoHit, lut, buf) == 0)
+  }
 }

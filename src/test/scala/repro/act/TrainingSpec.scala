@@ -1,5 +1,6 @@
 package repro.act
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{ActIndex, Join}
 import repro.spatial.SpatialData
@@ -90,5 +91,28 @@ class TrainingSpec extends AnyFunSuite {
     val idx = ActIndex.build(polys, 8, None)
     val refinements = idx.train(trainIds, maxLevel = 0)
     assert(refinements == 0, "no cell is below level 0")
+  }
+
+  private def serialize(o: AnyRef): Array[Byte] = {
+    val buf = new ByteArrayOutputStream()
+    val out = new ObjectOutputStream(buf)
+    out.writeObject(o)
+    out.close()
+    buf.toByteArray
+  }
+
+  test("a deserialized index probes and trains alike") {
+    val idx = ActIndex.build(polys, 8, None)
+    val copy = new ObjectInputStream(new ByteArrayInputStream(serialize(idx))).readObject().asInstanceOf[ActIndex]
+    leafIds.foreach { leaf =>
+      assert(TaggedEntry.decode(copy.act.probe(leaf), copy.lut) ==
+        TaggedEntry.decode(idx.act.probe(leaf), idx.lut))
+    }
+    assert(exactJoin(copy)._1 == exactJoin(idx)._1)
+    assert(copy.train(trainIds) == idx.train(trainIds))
+    assert(copy.act.sizeBytes == idx.act.sizeBytes)
+    val (got, gotStats) = exactJoin(copy)
+    val (expected, expectedStats) = exactJoin(idx)
+    assert(got == expected && gotStats.pipTests == expectedStats.pipTests)
   }
 }

@@ -2,7 +2,6 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.act.TaggedEntry
-import repro.grid.CellId
 import repro.index.{BTreeCellIndex, SortedCellVector}
 import repro.spatial.SpatialData
 

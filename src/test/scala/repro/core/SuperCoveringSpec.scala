@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.grid.{CellId, Covering}
+import repro.grid.CellId
 import repro.spatial.SpatialData
 import scala.collection.mutable
 

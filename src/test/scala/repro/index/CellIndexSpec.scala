@@ -93,8 +93,7 @@ class CellIndexSpec extends AnyFunSuite {
 
   test("ACT agrees with LB/GBT on a shared large covering") {
     val (ids, entries, lut) = randomCells(1500)
-    val refs = entries.map(e => TaggedEntry.decode(e, lut))
-    val act = ACT.build(8, ids, refs, lut)
+    val act = ACT.build(8, ids, entries)
     val lb = SortedCellVector(ids, entries)
     for (_ <- 1 to 3000) {
       val leaf = CellId.fromIJ(rnd.nextLong(1L << 30), rnd.nextLong(1L << 30), 30)

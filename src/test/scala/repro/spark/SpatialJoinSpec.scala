@@ -3,6 +3,7 @@ package repro.spark
 import org.scalatest.funsuite.AnyFunSuite
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.act.TaggedEntry
 import repro.core.{ActIndex, Join}
 import repro.spatial.SpatialData
 
@@ -98,5 +99,45 @@ class SpatialJoinSpec extends AnyFunSuite with SparkSpec {
   test("empty point set yields an empty join") {
     val empty = SpatialData.pointsDf(spark, 0, taxi = true)
     assert(SpatialJoin.join(empty, polysDf, exact = true).count() == 0)
+  }
+
+  test("polygon ids must equal array positions") {
+    val gapped = polys.map(p => p.copy(id = 2 * p.id))
+    val err = intercept[IllegalArgumentException] {
+      SpatialJoin.join(pointsDf, SpatialData.polygonsDf(spark, gapped), exact = true)
+    }
+    assert(err.getMessage.contains("polygon ids must equal array positions"), err.getMessage)
+    intercept[IllegalArgumentException](ActIndex.build(polys.reverse, 8, None))
+    // Dense ids join whatever the row order of the polygons table.
+    val result = SpatialJoin.join(pointsDf, SpatialData.polygonsDf(spark, polys.reverse), exact = true)
+    val got = result.collect().map(r => (r.getLong(0), r.getInt(1))).toSet
+    val exp = naivePairsDf.collect().map(r => (r.getLong(0), r.getInt(1))).toSet
+    assert(got == exp)
+  }
+
+  test("Spark and the kernels agree on one index, exact and approximate") {
+    // Wide overlap, so that some cells reference three or more polygons.
+    val overlapping = SpatialData.polygonGrid(4, 12, 0.2, 0.6, seed = 1500L)
+    val (xs, ys, leafIds) = SpatialData.pointArrays(nPts, taxi = true, seed = 1200L)
+    for (exact <- Seq(true, false)) {
+      val index = ActIndex.build(overlapping, 8, if (exact) None else Some(4.0))
+      val offsets = leafIds.count(l => TaggedEntry.tag(index.act.probe(l)) == TaggedEntry.TagOffset)
+      assert(offsets > 0, s"exact=$exact: no probe reached the lookup table")
+
+      val counts = new Array[Long](overlapping.length)
+      val st =
+        if (exact) Join.exactCounts(index.act, index.lut, xs, ys, leafIds, overlapping, counts)
+        else Join.approximateCounts(index.act, index.lut, leafIds, counts)
+      val m = SpatialJoin.newMetrics(spark)
+      val got = new Array[Long](overlapping.length)
+      SpatialJoin.countsPerPolygon(SpatialJoin.joinWithIndex(pointsDf, index, exact, Some(m)))
+        .collect().foreach(r => got(r.getInt(0)) = r.getLong(1))
+
+      assert(got.toSeq == counts.toSeq, s"exact=$exact: counts per polygon")
+      assert(st.points == nPts && m.probes.value == st.points, s"exact=$exact: probes")
+      assert(m.trueHitPairs.value == st.trueHitPairs, s"exact=$exact: true-hit pairs")
+      assert(m.candidatePairs.value == st.candidatePairs, s"exact=$exact: candidate pairs")
+      assert(m.pipTests.value == st.pipTests, s"exact=$exact: PIP tests")
+    }
   }
 }
