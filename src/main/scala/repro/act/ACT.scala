@@ -1,6 +1,7 @@
 package repro.act
 
 import repro.grid.CellId
+import repro.metrics.ProbeCounter
 import scala.collection.mutable
 
 /** Adaptive Cell Trie (§3.1.2): a static radix tree over 64-bit cell ids.
@@ -21,7 +22,8 @@ import scala.collection.mutable
   *
   * The structure is immutable after build except for [[writeCell]], which
   * training (§3.3.1) uses to overwrite a cell's slot range with refined
-  * descendants.
+  * descendants. Probing writes nothing on it: node accesses and depth go to
+  * the caller's [[ProbeCounter]], so all cores can probe one trie.
   */
 final class ACT(val bitsPerLevel: Int) extends repro.index.CellIndex {
   require(Set(2, 4, 8).contains(bitsPerLevel), "fanout must be 2, 4 or 8 bits")
@@ -37,20 +39,21 @@ final class ACT(val bitsPerLevel: Int) extends repro.index.CellIndex {
   private[act] var prefixLen: Int = 0
   private[act] var prefixBits: Long = 0L
 
-  // --- probe-side metrics (single-threaded benches read & reset these) ----
-  var nodeAccesses: Long = 0L
-  var lastDepth: Int = 0
-  def accessCount: Long = nodeAccesses
-  def resetMetrics(): Unit = { nodeAccesses = 0L; lastDepth = 0 }
+  /** Node accesses of one-argument probes and recorded kernel calls
+    * ([[accessCount]]).
+    */
+  def nodeAccesses: Long = accessCount
 
   def nodeCount: Int = nodes.length
   /** Size in bytes: slot arrays (the paper's 8-byte-pointer arrays). */
   def sizeBytes: Long = nodes.length.toLong * fanout * 8
 
   /** Probe with a leaf (level-30) cell id; returns a value entry or NoHit.
-    * Straight transcription of Listing 2 plus the root prefix check.
+    * Straight transcription of Listing 2 plus the root prefix check. A probe
+    * that reaches a value adds its depth (= its node accesses) to
+    * `m.accesses` and sets `m.lastDepth`; a root-prefix miss counts nothing.
     */
-  def probe(leafId: Long): Long = {
+  def probe(leafId: Long, m: ProbeCounter): Long = {
     val path = CellId.path60(leafId)
     if (prefixLen > 0 && (path >>> (60 - prefixLen)) != (prefixBits >>> (60 - prefixLen)))
       return TaggedEntry.NoHit
@@ -58,7 +61,6 @@ final class ACT(val bitsPerLevel: Int) extends repro.index.CellIndex {
     var consumed = prefixLen
     var depth = 0
     while (true) {
-      nodeAccesses += 1
       depth += 1
       val avail = math.min(bitsPerLevel, 60 - consumed)
       val c = ((path >>> (60 - consumed - avail)) & ((1L << avail) - 1)).toInt
@@ -67,7 +69,8 @@ final class ACT(val bitsPerLevel: Int) extends repro.index.CellIndex {
         nodeIdx = TaggedEntry.pointerTarget(e)
         consumed += avail
       } else {
-        lastDepth = depth
+        m.accesses += depth
+        m.lastDepth = depth
         return e
       }
     }

@@ -31,11 +31,21 @@ object Tables {
     (r, (System.nanoTime() - t0) / 1e9)
   }
 
-  /** Median-of-3 timed runs of `body` (first run warms the JIT). */
-  def bestTime(reps: Int = 3)(body: => Unit): Double = {
-    val ts = (0 until math.max(1, reps)).map(_ => time(body)._2)
-    ts.sorted.apply(ts.size / 2)
+  /** Median seconds of `reps` timed runs of `body` (the first run warms the
+    * JIT).
+    */
+  def medianTime(reps: Int = 3)(body: => Unit): Double =
+    median((0 until math.max(1, reps)).map(_ => time(body)._2))
+
+  /** Median seconds of `reps` runs of `a` and of `b`, timed in alternation
+    * so that drift in the host's speed affects both alike.
+    */
+  def alternatingMedianTimes(reps: Int)(a: => Unit)(b: => Unit): (Double, Double) = {
+    val ts = (0 until math.max(1, reps)).map(_ => (time(a)._2, time(b)._2))
+    (median(ts.map(_._1)), median(ts.map(_._2)))
   }
+
+  private def median(ts: Seq[Double]): Double = ts.sorted.apply(ts.size / 2)
 
   // ---------------------------------------------------------------------
   // Super coverings (Table 1 inputs), memoized per (dataset, precision).
@@ -116,7 +126,7 @@ object Tables {
   def approxThroughput(index: CellIndex, lut: LookupTable, leafIds: Array[Long],
                        nPolys: Int, reps: Int = 3): Double = {
     val counts = new Array[Long](nPolys)
-    val sec = bestTime(reps) {
+    val sec = medianTime(reps) {
       java.util.Arrays.fill(counts, 0L)
       Join.approximateCounts(index, lut, leafIds, counts)
     }
@@ -129,7 +139,7 @@ object Tables {
                       polys: Array[Polygon], reps: Int = 3): (Double, JoinStats) = {
     val counts = new Array[Long](polys.length)
     var stats: JoinStats = null
-    val sec = bestTime(reps) {
+    val sec = medianTime(reps) {
       java.util.Arrays.fill(counts, 0L)
       stats = Join.exactCounts(index, lut, xs, ys, leafIds, polys, counts)
     }

@@ -4,6 +4,7 @@ import repro.act.{ACT, LookupTable, TaggedEntry}
 import repro.geo.Polygon
 import repro.grid.CellId
 import repro.index.CellIndex
+import repro.metrics.ProbeCounter
 
 /** Probe-phase statistics mirroring the paper's reported metrics. */
 final class JoinStats {
@@ -14,8 +15,8 @@ final class JoinStats {
   var pipTests: Long = 0L      // refinement PIP tests performed
   var sthPoints: Long = 0L     // points resolved by solely true hits (§4.2)
 
-  /** Solely-true-hits percentage: points that needed no PIP test, over all
-    * points probed (only the exact kernel counts `sthPoints`).
+  /** Solely-true-hits percentage: points whose entry held no candidate
+    * ref (misses included), over all points probed.
     */
   def sthPercent: Double =
     if (points == 0) 0.0 else 100.0 * sthPoints / points
@@ -28,6 +29,10 @@ final class JoinStats {
   * Like the paper's evaluation (§4 "Datasets and Queries") the kernels
   * count points per polygon instead of materializing pairs; the Spark
   * operator ([[repro.spark.SpatialJoin]]) materializes pairs instead.
+  *
+  * Each call counts node accesses and PIP edges in its own [[ProbeCounter]]
+  * and records it once at the end, so threads may run the kernels over one
+  * shared index, each with its own `counts` array.
   */
 object Join {
 
@@ -37,10 +42,12 @@ object Join {
   def approximateCounts(index: CellIndex, lut: LookupTable,
                         leafIds: Array[Long], counts: Array[Long]): JoinStats = {
     val st = new JoinStats
+    val m = new ProbeCounter
     var i = 0
     while (i < leafIds.length) {
-      val e = index.probe(leafIds(i))
+      val e = index.probe(leafIds(i), m)
       st.points += 1
+      val candidatesBefore = st.candidatePairs
       val tag = TaggedEntry.tag(e)
       if (tag == TaggedEntry.TagInline) {
         st.matchedPoints += 1
@@ -64,8 +71,10 @@ object Join {
         while (k < nC) { counts(lut(off)) += 1; off += 1; k += 1 }
         st.candidatePairs += nC
       }
+      if (st.candidatePairs == candidatesBefore) st.sthPoints += 1
       i += 1
     }
+    index.record(m)
     st
   }
 
@@ -76,9 +85,10 @@ object Join {
                   xs: Array[Double], ys: Array[Double], leafIds: Array[Long],
                   polys: Array[Polygon], counts: Array[Long]): JoinStats = {
     val st = new JoinStats
+    val m = new ProbeCounter
     var i = 0
     while (i < leafIds.length) {
-      val e = index.probe(leafIds(i))
+      val e = index.probe(leafIds(i), m)
       st.points += 1
       var matched = false
       var hadCandidate = false
@@ -97,7 +107,7 @@ object Join {
             hadCandidate = true
             st.pipTests += 1
             val pid = PolygonRef.polygonId(r)
-            if (polys(pid).contains(xs(i), ys(i))) {
+            if (polys(pid).contains(xs(i), ys(i), m)) {
               counts(pid) += 1
               st.candidatePairs += 1
               matched = true
@@ -118,7 +128,7 @@ object Join {
           hadCandidate = true
           st.pipTests += 1
           val pid = lut(off)
-          if (polys(pid).contains(xs(i), ys(i))) {
+          if (polys(pid).contains(xs(i), ys(i), m)) {
             counts(pid) += 1
             st.candidatePairs += 1
             matched = true
@@ -130,6 +140,8 @@ object Join {
       if (!hadCandidate) st.sthPoints += 1
       i += 1
     }
+    index.record(m)
+    Polygon.record(m)
     st
   }
 

@@ -1,5 +1,7 @@
 package repro.geo
 
+import repro.metrics.ProbeCounter
+
 /** Planar geometry substrate for the point-polygon join reproduction.
   *
   * The paper works on the Earth's surface via Google S2 (unit sphere, cube
@@ -59,7 +61,7 @@ object CellRelation {
 /** A simple polygon (no holes) given by its vertex ring (implicitly closed).
   *
   * `id` is the polygon's 30-bit identifier used in ACT polygon references.
-  * The ray-crossing PIP test counts edge evaluations in [[Polygon.EdgeTests]]
+  * The ray-crossing PIP test counts edge evaluations in a [[ProbeCounter]]
   * so benchmarks can report PIP work exactly like the paper reports PIP-test
   * counts (§4.2).
   */
@@ -86,10 +88,16 @@ final case class Polygon(id: Int, xs: Array[Double], ys: Array[Double]) {
     * §3.4) on a best-effort basis: the crossing rule used (half-open in y,
     * strict in x) is consistent so adjacent largely-disjoint polygons do not
     * double-count interior points.
+    *
+    * Counts the edges walked into [[Polygon.edgeTests]], so it is for one
+    * thread at a time; concurrent callers pass their own counter.
     */
-  def contains(px: Double, py: Double): Boolean = {
+  def contains(px: Double, py: Double): Boolean = contains(px, py, Polygon.shared)
+
+  /** [[contains]], counting the edges walked into `m.edges`. */
+  def contains(px: Double, py: Double, m: ProbeCounter): Boolean = {
     if (!mbr.containsPoint(px, py)) return false
-    Polygon.edgeTests += n
+    m.edges += n
     var inside = false
     var i = 0
     var j = n - 1
@@ -129,12 +137,18 @@ final case class Polygon(id: Int, xs: Array[Double], ys: Array[Double]) {
 }
 
 object Polygon {
-  /** Thread-unsafe-by-design PIP edge-test counter (benchmarks are
-    * single-threaded like the paper's single-core probe measurements; the
-    * Spark operator uses accumulators instead).
+  /** Counter of the one-argument [[Polygon.contains]]. */
+  private val shared = new ProbeCounter
+
+  /** PIP edges walked by one-argument `contains` calls and by recorded
+    * kernel calls since the last reset. Read it after the probing threads
+    * have finished.
     */
-  var edgeTests: Long = 0L
-  def resetEdgeTests(): Unit = edgeTests = 0L
+  def edgeTests: Long = shared.edges
+  def resetEdgeTests(): Unit = synchronized { shared.edges = 0L }
+
+  /** Add the edges counted in `m` to [[edgeTests]]; safe from any thread. */
+  def record(m: ProbeCounter): Unit = synchronized { shared.edges += m.edges }
 
   /** True iff segment p1-p2 intersects the (closed) rectangle `r`. */
   def segmentIntersectsRect(x1: Double, y1: Double, x2: Double, y2: Double, r: MBR): Boolean = {

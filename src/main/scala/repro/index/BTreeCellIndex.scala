@@ -2,6 +2,7 @@ package repro.index
 
 import repro.act.TaggedEntry
 import repro.grid.CellId
+import repro.metrics.ProbeCounter
 
 /** Baseline "GBT" (§4.1): an in-memory B+-tree over `(cellId, entry)` pairs
   * mirroring Google's cpp-btree with its best-performing 256-byte target
@@ -23,19 +24,20 @@ final class BTreeCellIndex private (
 
   import BTreeCellIndex.Cap
 
-  var accessCount: Long = 0L
-  def resetMetrics(): Unit = accessCount = 0L
-
   /** 256 bytes per node (the paper's GBT node size). */
   def sizeBytes: Long =
     (nLeaves.toLong + levelFirst.map(_.length - 1).sum) * 256
 
-  def probe(leafId: Long): Long = {
+  /** Counts one access per node visited, leaf included; `m.lastDepth` is
+    * the tree height.
+    */
+  def probe(leafId: Long, m: ProbeCounter): Long = {
     val n = leafIds.length
     var node = 0
     var lvl = levelFirst.length - 1
+    m.accesses += levelFirst.length + 1
+    m.lastDepth = levelFirst.length + 1
     while (lvl >= 0) { // descend inner levels, root first
-      accessCount += 1
       val first = levelFirst(lvl)
       val keys = levelKeys(lvl)
       var j = first(node)
@@ -45,7 +47,6 @@ final class BTreeCellIndex private (
       node = node * Cap + (j - first(node))
       lvl -= 1
     }
-    accessCount += 1
     val start = node * Cap
     val stop = math.min(n, start + Cap)
     var i = start

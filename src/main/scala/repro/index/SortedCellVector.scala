@@ -2,6 +2,7 @@ package repro.index
 
 import repro.act.TaggedEntry
 import repro.grid.CellId
+import repro.metrics.ProbeCounter
 
 /** Baseline "LB" (§4.1): binary search (`std::lower_bound`) on a sorted
   * vector of `(cellId, taggedEntry)` pairs.
@@ -13,20 +14,23 @@ import repro.grid.CellId
 final class SortedCellVector(val ids: Array[Long], val entries: Array[Long]) extends CellIndex {
   require(ids.length == entries.length)
 
-  var accessCount: Long = 0L
-  def resetMetrics(): Unit = accessCount = 0L
-
   /** 16 bytes per (id, entry) pair — like the paper's pair vector. */
   def sizeBytes: Long = ids.length.toLong * 16
 
-  def probe(leafId: Long): Long = {
+  /** Counts one access per binary-search step; `m.lastDepth` is the
+    * probe's step count.
+    */
+  def probe(leafId: Long, m: ProbeCounter): Long = {
     var lo = 0
     var hi = ids.length
+    var steps = 0
     while (lo < hi) { // first id >= leafId
       val mid = (lo + hi) >>> 1
-      accessCount += 1
+      steps += 1
       if (ids(mid) < leafId) lo = mid + 1 else hi = mid
     }
+    m.accesses += steps
+    m.lastDepth = steps
     if (lo < ids.length && CellId.rangeMin(ids(lo)) <= leafId) return entries(lo)
     if (lo > 0 && CellId.rangeMax(ids(lo - 1)) >= leafId) return entries(lo - 1)
     TaggedEntry.NoHit

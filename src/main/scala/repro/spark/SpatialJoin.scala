@@ -6,6 +6,7 @@ import repro.act.TaggedEntry
 import repro.core.{ActIndex, PolygonRef}
 import repro.geo.Polygon
 import repro.grid.CellId
+import repro.metrics.ProbeCounter
 import scala.collection.mutable
 
 /** DataFrame-level point-polygon join built on the ACT index
@@ -13,9 +14,9 @@ import scala.collection.mutable
   *
   * The polygon side (static, city-scale) is built into an immutable
   * [[ActIndex]] on the driver and broadcast; the point side streams through
-  * `mapPartitions`, each partition probing the shared trie — the Spark
-  * equivalent of the paper's thread-per-batch probe parallelization
-  * (§3.4 "Index Probing").
+  * `mapPartitions`, each partition probing the shared trie with its own
+  * [[ProbeCounter]] — the Spark equivalent of the paper's thread-per-batch
+  * probe parallelization (§3.4 "Index Probing").
   */
 object SpatialJoin {
 
@@ -71,10 +72,11 @@ object SpatialJoin {
       val lut = idx.lut
       val polys = idx.polys
       val refs = new Array[Int](math.max(2, polys.length))
+      val pc = new ProbeCounter
       var probes = 0L; var trueHits = 0L; var cands = 0L; var pips = 0L
       val out = it.flatMap { case (id, x, y) =>
         probes += 1
-        val n = TaggedEntry.refsInto(act.probe(CellId.fromPoint(x, y)), lut, refs)
+        val n = TaggedEntry.refsInto(act.probe(CellId.fromPoint(x, y), pc), lut, refs)
         val res = mutable.ArrayBuffer.empty[(Long, Int)]
         var k = 0
         while (k < n) {
@@ -84,7 +86,7 @@ object SpatialJoin {
           else if (!exact) { cands += 1; res += ((id, pid)) }
           else {
             pips += 1
-            if (polys(pid).contains(x, y)) { cands += 1; res += ((id, pid)) }
+            if (polys(pid).contains(x, y, pc)) { cands += 1; res += ((id, pid)) }
           }
           k += 1
         }

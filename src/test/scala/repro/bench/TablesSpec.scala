@@ -11,9 +11,9 @@ class TablesSpec extends AnyFunSuite {
     assert(s >= 0.015 && s < 5.0)
   }
 
-  test("bestTime returns the median of repeated runs") {
+  test("medianTime returns the median of repeated runs") {
     var n = 0
-    val s = Tables.bestTime(3) { n += 1 }
+    val s = Tables.medianTime(3) { n += 1 }
     assert(n == 3)
     assert(s >= 0.0)
   }

@@ -1,7 +1,9 @@
 package repro.core
 
+import java.util.concurrent.{Callable, CyclicBarrier, Executors}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.act.TaggedEntry
+import repro.geo.Polygon
 import repro.index.{BTreeCellIndex, SortedCellVector}
 import repro.spatial.SpatialData
 
@@ -114,6 +116,77 @@ class JoinSpec extends AnyFunSuite {
     val byPoly = pairs.groupBy(_._2).view.mapValues(_.size.toLong).toMap
     for (p <- polys.indices)
       assert(byPoly.getOrElse(p, 0L) == counts(p))
+  }
+
+  /** Wide overlap, so that cells hold candidate refs in inline entries and
+    * in lookup-table entries alike.
+    */
+  private lazy val overlapping = SpatialData.polygonGrid(4, 12, 0.2, 0.6, seed = 1500L)
+
+  test("approximate and exact joins count the same solely-true-hit points") {
+    val idx = ActIndex.build(overlapping, 8, None)
+    val entries = leafIds.map(l => idx.act.probe(l))
+    def holdsCandidate(e: Long) = TaggedEntry.decode(e, idx.lut).candidates.nonEmpty
+    assert(entries.exists(e => TaggedEntry.tag(e) == TaggedEntry.TagInline && holdsCandidate(e)),
+      "no inline entry holds a candidate ref")
+    assert(entries.exists(e => TaggedEntry.tag(e) == TaggedEntry.TagOffset && holdsCandidate(e)),
+      "no lookup-table entry holds a candidate ref")
+
+    val approx = Join.approximateCounts(idx.act, idx.lut, leafIds, new Array[Long](overlapping.length))
+    val exact = Join.exactCounts(idx.act, idx.lut, xs, ys, leafIds, overlapping,
+      new Array[Long](overlapping.length))
+    assert(approx.sthPoints == exact.sthPoints)
+    assert(approx.sthPoints == entries.count(e => !holdsCandidate(e)))
+    assert(approx.sthPoints > 0 && approx.sthPoints < nPts, s"sthPoints ${approx.sthPoints}")
+  }
+
+  test("both kernels on all cores over one shared ACT4 index equal one thread") {
+    val idx = ActIndex.build(overlapping, 8, None)
+    val n = overlapping.length
+    val (pxs, pys, pids) = SpatialData.pointArrays(200000, taxi = true, seed = 610L)
+    /** Counts per polygon of both kernels, and their stats. */
+    def both(px: Array[Double], py: Array[Double], ids: Array[Long]): (Seq[Long], Seq[JoinStats]) = {
+      val approx = new Array[Long](n)
+      val exact = new Array[Long](n)
+      val a = Join.approximateCounts(idx.act, idx.lut, ids, approx)
+      val e = Join.exactCounts(idx.act, idx.lut, px, py, ids, overlapping, exact)
+      (approx.toSeq ++ exact.toSeq, Seq(a, e))
+    }
+    def fields(st: JoinStats) =
+      Seq(st.points, st.matchedPoints, st.trueHitPairs, st.candidatePairs, st.pipTests, st.sthPoints)
+    def sum(sts: Seq[JoinStats]) = sts.map(fields).transpose.map(_.sum)
+
+    idx.act.resetMetrics()
+    Polygon.resetEdgeTests()
+    val (counts1, stats1) = both(pxs, pys, pids)
+    val accesses1 = idx.act.nodeAccesses
+    val edges1 = Polygon.edgeTests
+    assert(accesses1 > 0 && edges1 > 0)
+
+    val threads = math.max(4, Runtime.getRuntime.availableProcessors)
+    val pool = Executors.newFixedThreadPool(threads)
+    val start = new CyclicBarrier(threads)
+    idx.act.resetMetrics()
+    Polygon.resetEdgeTests()
+    val results = try {
+      (0 until threads).map { t =>
+        val from = pids.length * t / threads
+        val until = pids.length * (t + 1) / threads
+        pool.submit(new Callable[(Seq[Long], Seq[JoinStats])] {
+          def call() = {
+            start.await()
+            both(pxs.slice(from, until), pys.slice(from, until), pids.slice(from, until))
+          }
+        })
+      }.map(_.get())
+    } finally pool.shutdown()
+
+    val merged = results.map(_._1).transpose.map(_.sum)
+    assert(merged == counts1, "merged counts per polygon")
+    for (k <- stats1.indices)
+      assert(sum(results.map(_._2(k))) == fields(stats1(k)), s"summed JoinStats of kernel $k")
+    assert(idx.act.nodeAccesses == accesses1, "node accesses lost or gained")
+    assert(Polygon.edgeTests == edges1, "PIP edges lost or gained")
   }
 
   test("JoinStats sthPercent") {

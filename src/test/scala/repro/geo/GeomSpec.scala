@@ -1,6 +1,7 @@
 package repro.geo
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.metrics.ProbeCounter
 
 class GeomSpec extends AnyFunSuite {
   private val rnd = new scala.util.Random(2)
@@ -34,6 +35,17 @@ class GeomSpec extends AnyFunSuite {
     assert(Polygon.edgeTests == 4)
     triangle.contains(2.0, 1.0)
     assert(Polygon.edgeTests == 7)
+  }
+
+  test("PIP with a caller-owned counter counts there and not in the shared counter") {
+    Polygon.resetEdgeTests()
+    val m = new ProbeCounter
+    assert(square.contains(2.0, 2.0, m) == square.contains(2.0, 2.0))
+    triangle.contains(2.0, 1.0, m)
+    assert(m.edges == 7)
+    assert(Polygon.edgeTests == 4)
+    Polygon.record(m)
+    assert(Polygon.edgeTests == 11)
   }
 
   test("PIP with MBR miss does not count edge tests") {

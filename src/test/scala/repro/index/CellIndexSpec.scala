@@ -1,9 +1,12 @@
 package repro.index
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.act.{ACT, LookupTable, TaggedEntry}
 import repro.core.{PolygonRef, RefList, SuperCovering}
 import repro.grid.CellId
+import repro.metrics.ProbeCounter
 
 /** LB and GBT must agree with each other, with ACT and with a brute-force
   * scan on arbitrary disjoint cell sets.
@@ -99,5 +102,29 @@ class CellIndexSpec extends AnyFunSuite {
       val leaf = CellId.fromIJ(rnd.nextLong(1L << 30), rnd.nextLong(1L << 30), 30)
       assert(TaggedEntry.decode(act.probe(leaf), lut) == TaggedEntry.decode(lb.probe(leaf), lut))
     }
+  }
+
+  test("probe(leaf) and probe(leaf, m) agree on entry, accesses and depth") {
+    val (ids, entries, _) = randomCells(1500)
+    val indexes: Seq[(String, CellIndex)] = Seq( // paper names: ACTk = k quadtree levels per node
+      "ACT1" -> ACT.build(2, ids, entries), "ACT2" -> ACT.build(4, ids, entries),
+      "ACT4" -> ACT.build(8, ids, entries),
+      "LB" -> SortedCellVector(ids, entries), "GBT" -> BTreeCellIndex(ids, entries))
+    val anyLeaf = for {
+      i <- Gen.choose(0L, (1L << 30) - 1)
+      j <- Gen.choose(0L, (1L << 30) - 1)
+    } yield CellId.fromIJ(i, j, 30)
+    val cellEdge = Gen.oneOf(ids.toSeq).flatMap(c => Gen.oneOf(CellId.rangeMin(c), CellId.rangeMax(c)))
+    val prop = Prop.forAll(Gen.oneOf(anyLeaf, cellEdge)) { leaf =>
+      indexes.forall { case (_, idx) =>
+        idx.resetMetrics()
+        val e = idx.probe(leaf)
+        val m = new ProbeCounter
+        idx.probe(leaf, m) == e && m.accesses == idx.accessCount &&
+          m.lastDepth == idx.lastDepth && m.accesses > 0
+      }
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(2000).withInitialSeed(Seed(66L)), prop)
+    assert(res.passed, res.status)
   }
 }
