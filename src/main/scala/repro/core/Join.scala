@@ -185,8 +185,8 @@ object Join {
 }
 
 /** A built polygon index: the super covering plus its ACT plus the shared
-  * lookup table — the unit the Spark operator broadcasts, and the object
-  * the accurate algorithm trains (§3.3.1).
+  * lookup table — the object the accurate algorithm trains (§3.3.1). The
+  * Spark operator broadcasts only its [[probeSide]].
   *
   * Polygon ids are array positions: `polys(id)` is the polygon with that
   * id, which the build checks.
@@ -244,7 +244,20 @@ final class ActIndex(val polys: Array[Polygon],
   }
 
   def sizeBytes: Long = act.sizeBytes + lut.sizeBytes
+
+  /** What probing reads — polygons, lookup table and ACT — without the
+    * build-time super covering. It shares this index's structures, so take
+    * a fresh one after [[train]] has changed them.
+    */
+  def probeSide: ProbeSide = new ProbeSide(polys, lut, act)
 }
+
+/** The part of an [[ActIndex]] that a join probes: the value the Spark
+  * operator broadcasts (paper §3.4, an immutable index probed by point
+  * batches). `polys(id)` is the polygon with that id.
+  */
+final class ProbeSide(val polys: Array[Polygon], val lut: LookupTable,
+                      val act: ACT) extends Serializable
 
 object ActIndex {
 

@@ -98,6 +98,14 @@ final case class Polygon(id: Int, xs: Array[Double], ys: Array[Double]) {
   def contains(px: Double, py: Double, m: ProbeCounter): Boolean = {
     if (!mbr.containsPoint(px, py)) return false
     m.edges += n
+    crossingParity(px, py)
+  }
+
+  /** The ray-crossing rule of [[contains]] without the MBR filter or any
+    * counting: true iff a ray from `(px, py)` towards +x crosses the ring an
+    * odd number of times.
+    */
+  private def crossingParity(px: Double, py: Double): Boolean = {
     var inside = false
     var i = 0
     var j = n - 1
@@ -131,8 +139,12 @@ final case class Polygon(id: Int, xs: Array[Double], ys: Array[Double]) {
     }
     // No edge crosses the rect: either rect wholly inside or wholly outside
     // the polygon (a polygon wholly inside the rect would have its edges
-    // inside the rect, caught above).
-    if (contains(r.centerX, r.centerY)) CellRelation.Inside else CellRelation.Outside
+    // inside the rect, caught above). The centre test counts no PIP edges:
+    // covering builds classify cells on several threads at once, and the
+    // shared counter is for probing only.
+    val cx = r.centerX; val cy = r.centerY
+    if (mbr.containsPoint(cx, cy) && crossingParity(cx, cy)) CellRelation.Inside
+    else CellRelation.Outside
   }
 }
 

@@ -116,6 +116,8 @@ object CellId {
 
   /** Leaf (level-30) cell containing world point `(x, y)`; coordinates are
     * clamped into the world square, mirroring S2's lat/lng normalization.
+    * Only [[placeable]] points land in a cell that holds them: the Spark
+    * operator probes any other point as a miss (DESIGN.md §3).
     */
   def fromPoint(x: Double, y: Double): Long = {
     val scale = (1L << MaxLevel).toDouble / Geom.World
@@ -123,6 +125,13 @@ object CellId {
     val j = math.min((1L << MaxLevel) - 1, math.max(0L, (y * scale).toLong))
     fromIJ(i, j, MaxLevel)
   }
+
+  /** True iff `(x, y)` lies in the closed world square `[0, W]²`, so the
+    * leaf of [[fromPoint]] holds it (a coordinate equal to `W` lands on the
+    * border cell, whose closed bounds hold it). False for NaN coordinates.
+    */
+  @inline def placeable(x: Double, y: Double): Boolean =
+    x >= 0.0 && x <= Geom.World && y >= 0.0 && y <= Geom.World
 
   /** World-space bounds of the cell. */
   def bounds(id: Long): MBR = {

@@ -1,22 +1,33 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.{coalesce, col, lit}
 import org.apache.spark.util.LongAccumulator
 import repro.act.TaggedEntry
-import repro.core.{ActIndex, PolygonRef}
+import repro.core.{ActIndex, PolygonRef, ProbeSide}
 import repro.geo.Polygon
 import repro.grid.CellId
 import repro.metrics.ProbeCounter
-import scala.collection.mutable
+
+/** A points row as the join reads it. Case classes rather than tuples keep
+  * the fields primitive, so Spark's row codecs box nothing.
+  */
+final case class PointRow(id: Long, x: Double, y: Double)
+
+/** One output row of the join. */
+final case class JoinPair(point_id: Long, polygon_id: Int)
 
 /** DataFrame-level point-polygon join built on the ACT index
   * (the "per-partition UDF join operator" integration, DESIGN.md §3).
   *
-  * The polygon side (static, city-scale) is built into an immutable
-  * [[ActIndex]] on the driver and broadcast; the point side streams through
-  * `mapPartitions`, each partition probing the shared trie with its own
-  * [[ProbeCounter]] — the Spark equivalent of the paper's thread-per-batch
-  * probe parallelization (§3.4 "Index Probing").
+  * The polygon side (static, city-scale) is built into an [[ActIndex]] on
+  * the driver, and each join broadcasts its [[ProbeSide]]: the polygons,
+  * the lookup table and the ACT, without the build-time super covering.
+  * The point side streams through `mapPartitions`, each partition probing
+  * the shared trie with its own [[ProbeCounter]] — the Spark equivalent of
+  * the paper's thread-per-batch probe parallelization (§3.4 "Index
+  * Probing"). A point outside the world square, or with a NaN or null
+  * coordinate, is probed as a miss and joins no polygon.
   */
 object SpatialJoin {
 
@@ -58,54 +69,84 @@ object SpatialJoin {
 
   /** Join against a pre-built (possibly trained) index — the static-polygon
     * serving path the paper targets (§4: probe phase on a pre-built index).
+    * Each call broadcasts the index's current [[ActIndex.probeSide]], so a
+    * join after `train` probes the trained trie.
     */
   def joinWithIndex(points: DataFrame, index: ActIndex, exact: Boolean,
                     metrics: Option[Metrics] = None): DataFrame = {
     val spark = points.sparkSession
     import spark.implicits._
-    val bc = spark.sparkContext.broadcast(index)
-    val m = metrics
+    val bc = spark.sparkContext.broadcast(index.probeSide)
+    // A null coordinate reads as NaN, which no cell holds; the optimizer
+    // drops the coalesce on non-nullable columns.
+    val nan = lit(Double.NaN)
+    points.select(col("id"), coalesce(col("x"), nan) as "x", coalesce(col("y"), nan) as "y")
+      .as[PointRow]
+      .mapPartitions(rows => new PairIterator(rows, bc.value, exact, metrics))
+      .toDF()
+  }
 
-    points.select("id", "x", "y").as[(Long, Double, Double)].mapPartitions { it =>
-      val idx = bc.value
-      val act = idx.act
-      val lut = idx.lut
-      val polys = idx.polys
-      val refs = new Array[Int](math.max(2, polys.length))
-      val pc = new ProbeCounter
-      var probes = 0L; var trueHits = 0L; var cands = 0L; var pips = 0L
-      val out = it.flatMap { case (id, x, y) =>
-        probes += 1
-        val n = TaggedEntry.refsInto(act.probe(CellId.fromPoint(x, y), pc), lut, refs)
-        val res = mutable.ArrayBuffer.empty[(Long, Int)]
-        var k = 0
+  /** One partition's `(point_id, polygon_id)` pairs: decodes each row's
+    * entry into one reused buffer, emits the row's pairs from it, and adds
+    * its counts to the accumulators once, when the rows are exhausted.
+    */
+  private final class PairIterator(rows: Iterator[PointRow], side: ProbeSide,
+                                   exact: Boolean, metrics: Option[Metrics])
+      extends Iterator[JoinPair] {
+    private val act = side.act
+    private val lut = side.lut
+    private val polys = side.polys
+    private val refs = new Array[Int](math.max(2, polys.length))
+    private val pc = new ProbeCounter
+    private var probes = 0L; private var trueHits = 0L; private var cands = 0L; private var pips = 0L
+    // The current row and its references refs(k until n).
+    private var id = 0L; private var x = 0.0; private var y = 0.0
+    private var n = 0; private var k = 0
+    private var pending = -1 // polygon id of the next pair, -1 if not found yet
+    private var flushed = false
+
+    def hasNext: Boolean = pending >= 0 || advance()
+
+    def next(): JoinPair = {
+      if (!hasNext) throw new NoSuchElementException("no more pairs")
+      val pid = pending
+      pending = -1
+      JoinPair(id, pid)
+    }
+
+    /** Find the next pair, probing rows as needed; false once exhausted. */
+    private def advance(): Boolean = {
+      while (true) {
         while (k < n) {
           val ref = refs(k)
+          k += 1
           val pid = PolygonRef.polygonId(ref)
-          if (PolygonRef.isInterior(ref)) { trueHits += 1; res += ((id, pid)) }
-          else if (!exact) { cands += 1; res += ((id, pid)) }
+          if (PolygonRef.isInterior(ref)) { trueHits += 1; pending = pid; return true }
+          else if (!exact) { cands += 1; pending = pid; return true }
           else {
             pips += 1
-            if (polys(pid).contains(x, y, pc)) { cands += 1; res += ((id, pid)) }
+            if (polys(pid).contains(x, y, pc)) { cands += 1; pending = pid; return true }
           }
-          k += 1
         }
-        res
+        if (!rows.hasNext) { flush(); return false }
+        val row = rows.next()
+        id = row.id; x = row.x; y = row.y
+        probes += 1
+        n = if (CellId.placeable(x, y))
+              TaggedEntry.refsInto(act.probe(CellId.fromPoint(x, y), pc), lut, refs)
+            else 0
+        k = 0
       }
-      // Flush accumulators when the partition iterator is exhausted.
-      new Iterator[(Long, Int)] {
-        def hasNext: Boolean = {
-          val h = out.hasNext
-          if (!h) m.foreach { mm =>
-            mm.probes.add(probes); mm.trueHitPairs.add(trueHits)
-            mm.candidatePairs.add(cands); mm.pipTests.add(pips)
-            probes = 0; trueHits = 0; cands = 0; pips = 0
-          }
-          h
-        }
-        def next(): (Long, Int) = out.next()
+      false // unreachable
+    }
+
+    private def flush(): Unit = if (!flushed) {
+      flushed = true
+      metrics.foreach { mm =>
+        mm.probes.add(probes); mm.trueHitPairs.add(trueHits)
+        mm.candidatePairs.add(cands); mm.pipTests.add(pips)
       }
-    }.toDF("point_id", "polygon_id")
+    }
   }
 
   /** Counts per polygon — the aggregation the paper's evaluation computes. */

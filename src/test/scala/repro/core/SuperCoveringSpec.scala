@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.geo.Polygon
 import repro.grid.CellId
 import repro.spatial.SpatialData
 import scala.collection.mutable
@@ -174,5 +175,15 @@ class SuperCoveringSpec extends AnyFunSuite {
     val c1 = sc1.cellCount
     SuperCovering.refineToPrecision(sc1, CellId.levelForPrecision(4.0), polys)
     assert(sc1.cellCount > c1)
+  }
+
+  test("parallel covering builds leave the shared PIP edge counter alone") {
+    // Cell classification runs on several threads at once; counting into
+    // Polygon.edgeTests there lost updates.
+    val polys = SpatialData.neighborhoods()
+    val before = Polygon.edgeTests
+    val (covs, ints) = SuperCovering.coverings(polys)
+    assert(covs.nonEmpty && ints.nonEmpty)
+    assert(Polygon.edgeTests == before)
   }
 }
