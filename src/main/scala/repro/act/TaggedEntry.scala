@@ -9,7 +9,9 @@ import repro.core.{PolygonRef, RefList}
   *  - `0`: no hit (the paper's sentinel-node pointer),
   *  - tag 1: pointer — bits 2..63 = child node index,
   *  - tag 2: one or two inlined polygon references — bits 2..32 = ref1 + 1,
-  *    bits 33..63 = ref2 + 1 (0 = absent); ref bit 0 is the interior flag,
+  *    bits 33..63 = ref2 + 1 (0 = absent); ref bit 0 is the interior flag.
+  *    Every ref of an id up to [[repro.core.PolygonRef.MaxPolygonId]] is at
+  *    most 2^31 - 3, so `ref + 1` fits the 31-bit field,
   *  - tag 3: offset into the [[LookupTable]] (>= 3 references).
   */
 object TaggedEntry {
@@ -48,8 +50,10 @@ object TaggedEntry {
   /** Write the polygon references of value entry `e` into the caller-owned
     * `buf` and return how many there are (0 for no hit). A lookup-table
     * entry yields its true hits, then its candidates. `buf` must hold every
-    * reference: max(2, #polygons) always suffices. The two join kernels
-    * decode inline instead (see [[repro.core.Join]]).
+    * reference: max(2, #polygons) always suffices. The Spark operator and
+    * tests decode here; the two join kernels decode inline instead, in one
+    * loop, because a buffered decode made them slower (see
+    * [[repro.core.Join]]).
     */
   def refsInto(e: Long, lut: LookupTable, buf: Array[Int]): Int = tag(e) match {
     case TagInline =>

@@ -11,7 +11,7 @@ final class JoinStats {
   var points: Long = 0L        // points probed
   var matchedPoints: Long = 0L // points with >= 1 join partner
   var trueHitPairs: Long = 0L  // pairs identified in the filter phase
-  var candidatePairs: Long = 0L// pairs needing refinement (or emitted approx.)
+  var candidatePairs: Long = 0L// candidate pairs joined: untested (approx.) or past PIP (exact)
   var pipTests: Long = 0L      // refinement PIP tests performed
   var sthPoints: Long = 0L     // points resolved by solely true hits (§4.2)
 
@@ -28,7 +28,8 @@ final class JoinStats {
   *
   * Like the paper's evaluation (§4 "Datasets and Queries") the kernels
   * count points per polygon instead of materializing pairs; the Spark
-  * operator ([[repro.spark.SpatialJoin]]) materializes pairs instead.
+  * operator ([[repro.spark.SpatialJoin]]) materializes pairs instead. Both
+  * resolve each reference of a probed point by one rule, [[joins]].
   *
   * Each call counts node accesses and PIP edges in its own [[ProbeCounter]]
   * and records it once at the end, so threads may run the kernels over one
@@ -40,27 +41,66 @@ object Join {
     * as hits; no PIP is ever run. `counts` must have >= #polygons slots.
     */
   def approximateCounts(index: CellIndex, lut: LookupTable,
-                        leafIds: Array[Long], counts: Array[Long]): JoinStats = {
+                        leafIds: Array[Long], counts: Array[Long]): JoinStats =
+    probeCounts(index, lut, exact = false, null, null, leafIds, null, counts)
+
+  /** Exact join: candidate hits are refined with a PIP test (Listing 3
+    * without `__APPROX`). `polys` must be indexed by polygon id.
+    */
+  def exactCounts(index: CellIndex, lut: LookupTable,
+                  xs: Array[Double], ys: Array[Double], leafIds: Array[Long],
+                  polys: Array[Polygon], counts: Array[Long]): JoinStats =
+    probeCounts(index, lut, exact = true, xs, ys, leafIds, polys, counts)
+
+  /** Listing 3's rule for one reference `ref` of the entry that point
+    * (`x`, `y`) probed: a true hit joins; a candidate joins untested in the
+    * approximate join, and in the exact join only if the point passes PIP
+    * against `polys(id)`. Counts the decision in `st` and PIP edges in `m`.
+    */
+  @inline def joins(ref: Int, exact: Boolean, x: Double, y: Double,
+                    polys: Array[Polygon], st: JoinStats, m: ProbeCounter): Boolean =
+    if (PolygonRef.isInterior(ref)) { st.trueHitPairs += 1; true }
+    else candidateJoins(PolygonRef.polygonId(ref), exact, x, y, polys, st, m)
+
+  /** The candidate half of [[joins]], for polygon id `pid`. */
+  @inline private def candidateJoins(pid: Int, exact: Boolean, x: Double, y: Double,
+                                     polys: Array[Polygon], st: JoinStats,
+                                     m: ProbeCounter): Boolean = {
+    if (exact) {
+      st.pipTests += 1
+      if (!polys(pid).contains(x, y, m)) return false
+    }
+    st.candidatePairs += 1
+    true
+  }
+
+  /** Listing 3, with `exact = false` as `__APPROX`. Lookup-table true hits
+    * join without the rule's test; every other reference goes through
+    * [[joins]]. `xs`, `ys` and `polys` are read only when `exact`.
+    *
+    * The entry is decoded inline, not through [[TaggedEntry.refsInto]]: a
+    * buffered decode made the approximate kernels 15–18 % slower on a
+    * 4-vCPU host (ROADMAP item 1).
+    */
+  private def probeCounts(index: CellIndex, lut: LookupTable, exact: Boolean,
+                          xs: Array[Double], ys: Array[Double], leafIds: Array[Long],
+                          polys: Array[Polygon], counts: Array[Long]): JoinStats = {
     val st = new JoinStats
     val m = new ProbeCounter
     var i = 0
     while (i < leafIds.length) {
       val e = index.probe(leafIds(i), m)
-      st.points += 1
-      val candidatesBefore = st.candidatePairs
+      val x = if (exact) xs(i) else 0.0
+      val y = if (exact) ys(i) else 0.0
+      val pairsBefore = st.trueHitPairs + st.candidatePairs
+      val refinedBefore = st.candidatePairs + st.pipTests
       val tag = TaggedEntry.tag(e)
       if (tag == TaggedEntry.TagInline) {
-        st.matchedPoints += 1
         val r1 = TaggedEntry.inlineRef1(e)
-        counts(PolygonRef.polygonId(r1)) += 1
-        if (PolygonRef.isInterior(r1)) st.trueHitPairs += 1 else st.candidatePairs += 1
+        if (joins(r1, exact, x, y, polys, st, m)) counts(PolygonRef.polygonId(r1)) += 1
         val r2 = TaggedEntry.inlineRef2(e)
-        if (r2 >= 0) {
-          counts(PolygonRef.polygonId(r2)) += 1
-          if (PolygonRef.isInterior(r2)) st.trueHitPairs += 1 else st.candidatePairs += 1
-        }
+        if (r2 >= 0 && joins(r2, exact, x, y, polys, st, m)) counts(PolygonRef.polygonId(r2)) += 1
       } else if (tag == TaggedEntry.TagOffset) {
-        st.matchedPoints += 1
         var off = TaggedEntry.offsetValue(e)
         val nT = lut(off); off += 1
         var k = 0
@@ -68,78 +108,17 @@ object Join {
         st.trueHitPairs += nT
         val nC = lut(off); off += 1
         k = 0
-        while (k < nC) { counts(lut(off)) += 1; off += 1; k += 1 }
-        st.candidatePairs += nC
-      }
-      if (st.candidatePairs == candidatesBefore) st.sthPoints += 1
-      i += 1
-    }
-    index.record(m)
-    st
-  }
-
-  /** Exact join: candidate hits are refined with a PIP test (Listing 3
-    * without `__APPROX`). `polys` must be indexed by polygon id.
-    */
-  def exactCounts(index: CellIndex, lut: LookupTable,
-                  xs: Array[Double], ys: Array[Double], leafIds: Array[Long],
-                  polys: Array[Polygon], counts: Array[Long]): JoinStats = {
-    val st = new JoinStats
-    val m = new ProbeCounter
-    var i = 0
-    while (i < leafIds.length) {
-      val e = index.probe(leafIds(i), m)
-      st.points += 1
-      var matched = false
-      var hadCandidate = false
-      val tag = TaggedEntry.tag(e)
-      if (tag == TaggedEntry.TagInline) {
-        val r1 = TaggedEntry.inlineRef1(e)
-        val r2 = TaggedEntry.inlineRef2(e)
-        var r = r1
-        var twice = if (r2 >= 0) 2 else 1
-        while (twice > 0) {
-          if (PolygonRef.isInterior(r)) {
-            counts(PolygonRef.polygonId(r)) += 1
-            st.trueHitPairs += 1
-            matched = true
-          } else {
-            hadCandidate = true
-            st.pipTests += 1
-            val pid = PolygonRef.polygonId(r)
-            if (polys(pid).contains(xs(i), ys(i), m)) {
-              counts(pid) += 1
-              st.candidatePairs += 1
-              matched = true
-            }
-          }
-          twice -= 1
-          r = r2
-        }
-      } else if (tag == TaggedEntry.TagOffset) {
-        var off = TaggedEntry.offsetValue(e)
-        val nT = lut(off); off += 1
-        var k = 0
-        while (k < nT) { counts(lut(off)) += 1; off += 1; k += 1 }
-        if (nT > 0) { st.trueHitPairs += nT; matched = true }
-        val nC = lut(off); off += 1
-        k = 0
         while (k < nC) {
-          hadCandidate = true
-          st.pipTests += 1
           val pid = lut(off)
-          if (polys(pid).contains(xs(i), ys(i), m)) {
-            counts(pid) += 1
-            st.candidatePairs += 1
-            matched = true
-          }
+          if (candidateJoins(pid, exact, x, y, polys, st, m)) counts(pid) += 1
           off += 1; k += 1
         }
       }
-      if (matched) st.matchedPoints += 1
-      if (!hadCandidate) st.sthPoints += 1
+      if (st.trueHitPairs + st.candidatePairs > pairsBefore) st.matchedPoints += 1
+      if (st.candidatePairs + st.pipTests == refinedBefore) st.sthPoints += 1
       i += 1
     }
+    st.points += leafIds.length
     index.record(m)
     Polygon.record(m)
     st

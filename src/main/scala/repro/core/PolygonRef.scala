@@ -5,8 +5,12 @@ package repro.core
   * encoding ACT inlines into tagged entries (§3.1.2).
   */
 object PolygonRef {
-  /** Max indexable polygons: 2^30 (the paper's 30-bit polygon ids). */
-  val MaxPolygonId: Int = (1 << 30) - 1
+  /** Largest polygon id: 2^30 - 2, so ids 0..2^30-2 (the paper's 30-bit
+    * polygon ids, less one). An inline tagged entry stores `ref + 1` in 31
+    * bits, and the interior ref of id 2^30 - 1 is `Int.MaxValue`, whose
+    * successor does not fit ([[repro.act.TaggedEntry.inline1]]).
+    */
+  val MaxPolygonId: Int = (1 << 30) - 2
 
   @inline def apply(polygonId: Int, interior: Boolean): Int = {
     require(polygonId >= 0 && polygonId <= MaxPolygonId, s"polygon id $polygonId out of range")

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.{coalesce, col, lit}
 import org.apache.spark.util.LongAccumulator
 import repro.act.TaggedEntry
-import repro.core.{ActIndex, PolygonRef, ProbeSide}
+import repro.core.{ActIndex, Join, JoinStats, PolygonRef, ProbeSide}
 import repro.geo.Polygon
 import repro.grid.CellId
 import repro.metrics.ProbeCounter
@@ -55,16 +55,12 @@ object SpatialJoin {
     * @param exact      true: PIP-refine candidate hits (accurate join);
     *                   false: emit candidates as hits (approximate join)
     * @param precision  approximate-mode precision bound in metres (§3.2)
-    * @param trainingPoints leaf cell ids to train the accurate index with
     */
   def join(points: DataFrame, polysDf: DataFrame, exact: Boolean,
            precision: Option[Double] = None,
-           trainingPoints: Array[Long] = Array.emptyLongArray,
            metrics: Option[Metrics] = None): DataFrame = {
     val polys = collectPolygons(polysDf)
-    val index = ActIndex.build(polys, 8, if (exact) None else precision)
-    if (exact && trainingPoints.nonEmpty) index.train(trainingPoints)
-    joinWithIndex(points, index, exact, metrics)
+    joinWithIndex(points, ActIndex.build(polys, 8, if (exact) None else precision), exact, metrics)
   }
 
   /** Join against a pre-built (possibly trained) index — the static-polygon
@@ -86,65 +82,55 @@ object SpatialJoin {
       .toDF()
   }
 
-  /** One partition's `(point_id, polygon_id)` pairs: decodes each row's
-    * entry into one reused buffer, emits the row's pairs from it, and adds
-    * its counts to the accumulators once, when the rows are exhausted.
+  /** One partition's `(point_id, polygon_id)` pairs. Each row's entry is
+    * decoded into one reused buffer, which is then compacted in place to
+    * the polygon ids that [[Join.joins]] accepts; the row's pairs are read
+    * from it. The partition's [[JoinStats]] go to the accumulators once,
+    * when the rows are exhausted.
     */
   private final class PairIterator(rows: Iterator[PointRow], side: ProbeSide,
                                    exact: Boolean, metrics: Option[Metrics])
       extends Iterator[JoinPair] {
-    private val act = side.act
-    private val lut = side.lut
-    private val polys = side.polys
-    private val refs = new Array[Int](math.max(2, polys.length))
+    private val buf = new Array[Int](math.max(2, side.polys.length))
+    private val st = new JoinStats
     private val pc = new ProbeCounter
-    private var probes = 0L; private var trueHits = 0L; private var cands = 0L; private var pips = 0L
-    // The current row and its references refs(k until n).
-    private var id = 0L; private var x = 0.0; private var y = 0.0
+    // The current row's id and the polygon ids it joins, buf(k until n).
+    private var id = 0L
     private var n = 0; private var k = 0
-    private var pending = -1 // polygon id of the next pair, -1 if not found yet
     private var flushed = false
 
-    def hasNext: Boolean = pending >= 0 || advance()
+    def hasNext: Boolean = {
+      while (k == n && rows.hasNext) probe(rows.next())
+      if (k < n) true else { flush(); false }
+    }
 
     def next(): JoinPair = {
       if (!hasNext) throw new NoSuchElementException("no more pairs")
-      val pid = pending
-      pending = -1
-      JoinPair(id, pid)
+      k += 1
+      JoinPair(id, buf(k - 1))
     }
 
-    /** Find the next pair, probing rows as needed; false once exhausted. */
-    private def advance(): Boolean = {
-      while (true) {
-        while (k < n) {
-          val ref = refs(k)
-          k += 1
-          val pid = PolygonRef.polygonId(ref)
-          if (PolygonRef.isInterior(ref)) { trueHits += 1; pending = pid; return true }
-          else if (!exact) { cands += 1; pending = pid; return true }
-          else {
-            pips += 1
-            if (polys(pid).contains(x, y, pc)) { cands += 1; pending = pid; return true }
-          }
+    private def probe(row: PointRow): Unit = {
+      id = row.id; n = 0; k = 0
+      st.points += 1
+      val found = if (CellId.placeable(row.x, row.y))
+                    TaggedEntry.refsInto(side.act.probe(CellId.fromPoint(row.x, row.y), pc), side.lut, buf)
+                  else 0
+      var j = 0
+      while (j < found) {
+        val ref = buf(j)
+        if (Join.joins(ref, exact, row.x, row.y, side.polys, st, pc)) {
+          buf(n) = PolygonRef.polygonId(ref); n += 1
         }
-        if (!rows.hasNext) { flush(); return false }
-        val row = rows.next()
-        id = row.id; x = row.x; y = row.y
-        probes += 1
-        n = if (CellId.placeable(x, y))
-              TaggedEntry.refsInto(act.probe(CellId.fromPoint(x, y), pc), lut, refs)
-            else 0
-        k = 0
+        j += 1
       }
-      false // unreachable
     }
 
     private def flush(): Unit = if (!flushed) {
       flushed = true
       metrics.foreach { mm =>
-        mm.probes.add(probes); mm.trueHitPairs.add(trueHits)
-        mm.candidatePairs.add(cands); mm.pipTests.add(pips)
+        mm.probes.add(st.points); mm.trueHitPairs.add(st.trueHitPairs)
+        mm.candidatePairs.add(st.candidatePairs); mm.pipTests.add(st.pipTests)
       }
     }
   }

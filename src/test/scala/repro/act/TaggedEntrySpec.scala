@@ -16,7 +16,7 @@ class TaggedEntrySpec extends AnyFunSuite {
   }
 
   test("single inlined reference round-trip") {
-    for (pid <- Seq(0, 1, 999, PolygonRef.MaxPolygonId - 1); interior <- Seq(true, false)) {
+    for (pid <- Seq(0, 1, 999, PolygonRef.MaxPolygonId - 1, PolygonRef.MaxPolygonId); interior <- Seq(true, false)) {
       val r = PolygonRef(pid, interior)
       val e = TaggedEntry.inline1(r)
       assert(TaggedEntry.tag(e) == TaggedEntry.TagInline)
@@ -26,12 +26,16 @@ class TaggedEntrySpec extends AnyFunSuite {
   }
 
   test("double inlined reference round-trip") {
-    val r1 = PolygonRef(77, interior = true)
-    val r2 = PolygonRef(1234567, interior = false)
-    val e = TaggedEntry.inline2(r1, r2)
-    assert(TaggedEntry.tag(e) == TaggedEntry.TagInline)
-    assert(TaggedEntry.inlineRef1(e) == r1)
-    assert(TaggedEntry.inlineRef2(e) == r2)
+    val max = PolygonRef.MaxPolygonId
+    for ((p1, p2) <- Seq((77, 1234567), (max, 0), (0, max), (max - 1, max));
+         i1 <- Seq(true, false); i2 <- Seq(true, false)) {
+      val r1 = PolygonRef(p1, i1)
+      val r2 = PolygonRef(p2, i2)
+      val e = TaggedEntry.inline2(r1, r2)
+      assert(TaggedEntry.tag(e) == TaggedEntry.TagInline)
+      assert(TaggedEntry.inlineRef1(e) == r1, s"ref1 of ($r1, $r2)")
+      assert(TaggedEntry.inlineRef2(e) == r2, s"ref2 of ($r1, $r2)")
+    }
   }
 
   test("offset round-trip") {

@@ -138,6 +138,13 @@ class JoinSpec extends AnyFunSuite {
     assert(approx.sthPoints == exact.sthPoints)
     assert(approx.sthPoints == entries.count(e => !holdsCandidate(e)))
     assert(approx.sthPoints > 0 && approx.sthPoints < nPts, s"sthPoints ${approx.sthPoints}")
+    // One rule in both modes: true hits join untested, and every candidate
+    // the approximate join emits is one PIP test of the exact join.
+    assert(approx.points == nPts && exact.points == nPts)
+    assert(approx.trueHitPairs == exact.trueHitPairs)
+    assert(approx.candidatePairs == exact.pipTests)
+    assert(approx.matchedPoints == entries.count(_ != TaggedEntry.NoHit))
+    assert(exact.trueHitPairs + exact.candidatePairs == Join.naivePairs(xs, ys, overlapping).size)
   }
 
   test("both kernels on all cores over one shared ACT4 index equal one thread") {

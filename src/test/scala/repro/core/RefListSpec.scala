@@ -22,6 +22,8 @@ class RefListSpec extends AnyFunSuite {
   test("PolygonRef rejects out-of-range ids") {
     intercept[IllegalArgumentException](PolygonRef(-1, interior = false))
     intercept[IllegalArgumentException](PolygonRef(1 << 30, interior = false))
+    for (interior <- Seq(true, false))
+      intercept[IllegalArgumentException](PolygonRef(PolygonRef.MaxPolygonId + 1, interior))
   }
 
   test("RefList.of dedupes and sorts by polygon id") {

@@ -70,24 +70,6 @@ class SpatialJoinSpec extends AnyFunSuite with SparkSpec {
     assert(m.pipTests.value < nPts)
   }
 
-  test("training reduces Spark-side PIP tests, result unchanged") {
-    val (_, _, trainIds) = SpatialData.pointArrays(20000, taxi = true, seed = 2009L)
-
-    val m1 = SpatialJoin.newMetrics(spark)
-    val untrained = SpatialJoin.join(pointsDf, polysDf, exact = true, metrics = Some(m1))
-    val set1 = untrained.collect().map(r => (r.getLong(0), r.getInt(1))).toSet
-    val pip1 = m1.pipTests.value
-
-    val m2 = SpatialJoin.newMetrics(spark)
-    val trained = SpatialJoin.join(pointsDf, polysDf, exact = true,
-      trainingPoints = trainIds, metrics = Some(m2))
-    val set2 = trained.collect().map(r => (r.getLong(0), r.getInt(1))).toSet
-    val pip2 = m2.pipTests.value
-
-    assert(set1 == set2, "training must not change exact results")
-    assert(pip2 < pip1, s"trained PIP $pip2 should be < untrained $pip1")
-  }
-
   test("joinWithIndex reuses a pre-built index across point batches") {
     val index = ActIndex.build(polys, 8, None)
     val batch1 = SpatialData.pointsDf(spark, 1000, taxi = true, seed = 1L)
