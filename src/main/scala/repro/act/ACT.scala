@@ -51,7 +51,7 @@ final class ACT(val bitsPerLevel: Int) extends repro.index.CellIndex {
   /** Probe with a leaf (level-30) cell id; returns a value entry or NoHit.
     * Straight transcription of Listing 2 plus the root prefix check. A probe
     * that reaches a value adds its depth (= its node accesses) to
-    * `m.accesses` and sets `m.lastDepth`; a root-prefix miss counts nothing.
+    * `m.accesses`; a root-prefix miss counts nothing.
     */
   def probe(leafId: Long, m: ProbeCounter): Long = {
     val path = CellId.path60(leafId)
@@ -70,7 +70,6 @@ final class ACT(val bitsPerLevel: Int) extends repro.index.CellIndex {
         consumed += avail
       } else {
         m.accesses += depth
-        m.lastDepth = depth
         return e
       }
     }

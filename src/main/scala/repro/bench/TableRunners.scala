@@ -83,8 +83,9 @@ object TableRunners {
       val hist = new Array[Long](8)
       var i = 0
       while (i < leafIds.length) {
+        val before = bi.act4.accessCount
         bi.act4.probe(leafIds(i))
-        hist(math.min(7, bi.act4.lastDepth)) += 1
+        hist(math.min(7, (bi.act4.accessCount - before).toInt)) += 1
         i += 1
       }
       val total = leafIds.length.toDouble

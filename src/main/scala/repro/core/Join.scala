@@ -179,10 +179,12 @@ final class ActIndex(val polys: Array[Polygon],
 
   /** Train with historical points (§3.3.1): a training point hitting an
     * expensive cell (>= 1 candidate ref) replaces that cell with its four
-    * direct children, reclassified against the referenced polygons —
-    * popular areas end up finer-grained. One hit refines one level; points
+    * direct children, reclassified against the referenced polygons by
+    * [[SuperCovering.split]] (precision refinement takes the same step,
+    * [[SuperCovering.children]]) — popular areas end up finer-grained. One hit refines one level; points
     * hitting an already-refined child refine it further, so the index
-    * adapts progressively to the point distribution.
+    * adapts progressively to the point distribution. Leaf cells
+    * (`CellId.MaxLevel`) never split.
     *
     * `maxBytes` is the paper's memory budget: "in practice, we would stop
     * refining the index once a user-defined memory budget is exhausted"
@@ -190,32 +192,20 @@ final class ActIndex(val polys: Array[Polygon],
     *
     * Returns the number of cell refinements performed.
     */
-  def train(leafIds: Array[Long], maxLevel: Int = CellId.MaxLevel,
-            maxBytes: Long = Long.MaxValue): Long = {
+  def train(leafIds: Array[Long], maxBytes: Long = Long.MaxValue): Long = {
     var refinements = 0L
     var i = 0
     while (i < leafIds.length) {
       if (act.sizeBytes > maxBytes) return refinements
-      val leaf = leafIds(i)
-      val cell = sc.cellContainingLeaf(leaf)
-      if (cell != 0L && CellId.level(cell) < maxLevel) {
-        val refs = sc.cells.get(cell)
-        if (refs != null && refs.isExpensive) {
-          sc.cells.remove(cell)
-          var k = 0
-          while (k < 4) {
-            val c = CellId.child(cell, k)
-            val childRefs = SuperCovering.reclassify(c, refs, polys)
-            if (childRefs.isEmpty) {
-              act.writeCell(c, TaggedEntry.NoHit)
-            } else {
-              sc.cells.put(c, childRefs)
-              act.writeCell(c, TaggedEntry.encode(childRefs, lut))
-            }
-            k += 1
-          }
-          refinements += 1
+      val cell = sc.cellContainingLeaf(leafIds(i))
+      if (sc.refsOf(cell).isExpensive && CellId.level(cell) < CellId.MaxLevel) {
+        val children = sc.split(cell, polys)
+        var k = 0
+        while (k < 4) {
+          act.writeCell(CellId.child(cell, k), TaggedEntry.encode(children(k), lut))
+          k += 1
         }
+        refinements += 1
       }
       i += 1
     }

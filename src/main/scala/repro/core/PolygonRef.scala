@@ -55,20 +55,22 @@ final case class RefList(refs: Array[Int]) {
 object RefList {
   val empty: RefList = RefList(Array.emptyIntArray)
 
-  /** Normalize: sort by polygon id, dedupe, interior wins over boundary. */
+  /** Normalize: sort by polygon id, dedupe, interior wins over boundary.
+    * Sorted refs group by polygon id, and in each run the interior ref
+    * (`pid << 1 | 1`) comes last, so the last ref of each run is kept.
+    */
   def of(raw: Array[Int]): RefList = {
-    if (raw.isEmpty) return empty
-    val byPid = new java.util.TreeMap[Int, Int]()
-    raw.foreach { r =>
-      val pid = PolygonRef.polygonId(r)
-      byPid.merge(pid, r, (a, b) =>
-        if (PolygonRef.isInterior(a) || PolygonRef.isInterior(b)) PolygonRef.asInterior(a) else a)
-    }
-    val out = new Array[Int](byPid.size)
+    val s = raw.clone()
+    java.util.Arrays.sort(s)
+    var n = 0
     var i = 0
-    val it = byPid.values().iterator()
-    while (it.hasNext) { out(i) = it.next(); i += 1 }
-    RefList(out)
+    while (i < s.length) {
+      if (i + 1 == s.length || PolygonRef.polygonId(s(i + 1)) != PolygonRef.polygonId(s(i))) {
+        s(n) = s(i); n += 1
+      }
+      i += 1
+    }
+    RefList(if (n == s.length) s else java.util.Arrays.copyOf(s, n))
   }
 
   def single(ref: Int): RefList = RefList(Array(ref))

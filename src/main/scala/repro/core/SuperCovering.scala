@@ -15,11 +15,15 @@ import scala.collection.parallel.CollectionConverters._
   */
 final class SuperCovering extends Serializable {
   /** cellId -> refs. Invariant: keys pairwise disjoint (no cell contains
-    * another), no empty ref lists.
+    * another), no empty ref lists. Only this class and its companion
+    * change it.
     */
-  val cells = new java.util.TreeMap[Long, RefList]()
+  private[core] val cells = new java.util.TreeMap[Long, RefList]()
 
   def cellCount: Int = cells.size
+
+  /** The refs stored for `cell`, or empty if `cell` is not stored. */
+  def refsOf(cell: Long): RefList = cells.getOrDefault(cell, RefList.empty)
 
   /** The (unique, by disjointness) stored cell containing leaf id `leaf`,
     * or 0 if none. Used by index probing fallbacks and training.
@@ -96,6 +100,21 @@ final class SuperCovering extends Serializable {
     }
   }
 
+  /** Replace stored `cell` by its four children, each with the cell's refs
+    * reclassified against it ([[SuperCovering.children]]); children outside
+    * every referenced polygon are not stored. Returns the children's refs in
+    * child order, empty for those not stored. Training's step (§3.3.1).
+    */
+  def split(cell: Long, polys: Array[Polygon]): Array[RefList] = {
+    val children = SuperCovering.children(cell, cells.remove(cell), polys)
+    var k = 0
+    while (k < 4) {
+      if (!children(k).isEmpty) cells.put(CellId.child(cell, k), children(k))
+      k += 1
+    }
+    children
+  }
+
   /** Iterate (cellId, refs) in id order. */
   def foreachCell(f: (Long, RefList) => Unit): Unit = {
     val it = cells.entrySet().iterator()
@@ -141,8 +160,8 @@ object SuperCovering {
   }
 
   /** Refine `sc` in place so no *boundary* cell (a cell with >=1 candidate
-    * ref) is coarser than `minLevel` (§3.2): each such cell is replaced by
-    * its descendants at `minLevel`, classified per referenced polygon
+    * ref) is coarser than `minLevel` (§3.2): each such cell is split through
+    * [[children]] until its expensive descendants reach `minLevel`
     * (outside descendants dropped, inside ones become true hits).
     *
     * Guarantees any false positive of the approximate join lies within
@@ -150,65 +169,53 @@ object SuperCovering {
     * the polygon with that id.
     */
   def refineToPrecision(sc: SuperCovering, minLevel: Int, polys: Array[Polygon]): Unit = {
+    // Only the cells the recursion ends at are stored: putting and removing
+    // every intermediate cell would cost a map round trip per split.
+    def refine(cell: Long, refs: RefList): Unit =
+      if (refs.isExpensive && CellId.level(cell) < minLevel) {
+        val cs = children(cell, refs, polys)
+        var k = 0
+        while (k < 4) { refine(CellId.child(cell, k), cs(k)); k += 1 }
+      } else if (!refs.isEmpty) sc.cells.put(cell, refs)
     val expensive = mutable.ArrayBuffer.empty[Long]
     sc.foreachCell { (id, refs) =>
       if (refs.isExpensive) expensive += id
     }
-    // Every expensive cell is reclassified: conflict resolution (Figure 4)
-    // copies an ancestor's candidate refs onto difference cells that may not
-    // touch the referenced polygon at all; reclassification drops those
-    // (Outside), upgrades fully-contained ones to true hits, and splits
-    // cells still coarser than the precision level.
-    expensive.foreach { id =>
-      val refs = sc.cells.remove(id)
-      if (refs != null) {
-        val cleaned = reclassify(id, refs, polys)
-        if (!cleaned.isEmpty) {
-          if (cleaned.isExpensive && CellId.level(id) < minLevel)
-            refineCell(sc, id, cleaned, minLevel, polys)
-          else
-            sc.cells.put(id, cleaned)
-        }
-      }
-    }
+    // Every expensive cell is reclassified first: conflict resolution
+    // (Figure 4) copies an ancestor's candidate refs onto difference cells
+    // that may not touch the referenced polygon at all; reclassification
+    // drops those (Outside) and upgrades fully-contained ones to true hits.
+    expensive.foreach(id => refine(id, reclassify(id, sc.cells.remove(id), polys)))
   }
 
-  /** Recursively split `cell` down to `minLevel`, reclassifying candidate
-    * refs per descendant. Shared by precision refinement and training.
+  /** The split step shared by precision refinement (§3.2) and training
+    * (§3.3.1): the refs of `cell`'s four children, in child order, each
+    * `refs` reclassified against that child.
     */
-  private[core] def refineCell(sc: SuperCovering, cell: Long, refs: RefList,
-                               toLevel: Int, polys: Array[Polygon]): Unit = {
-    if (CellId.level(cell) >= toLevel) {
-      if (!refs.isEmpty) sc.cells.put(cell, refs)
-      return
-    }
-    var k = 0
-    while (k < 4) {
-      val c = CellId.child(cell, k)
-      val childRefs = reclassify(c, refs, polys)
-      if (!childRefs.isEmpty) {
-        if (childRefs.isExpensive) refineCell(sc, c, childRefs, toLevel, polys)
-        else sc.cells.put(c, childRefs) // all true hits: no need to go finer
-      }
-      k += 1
-    }
-  }
+  def children(cell: Long, refs: RefList, polys: Array[Polygon]): Array[RefList] =
+    Array.tabulate(4)(k => reclassify(CellId.child(cell, k), refs, polys))
 
   /** Classify cell `c` against each referenced polygon: keep interior refs
     * (the cell is inside wherever its ancestor was), and re-run the
-    * cell-polygon relation for candidate refs.
+    * cell-polygon relation for candidate refs. `refs` is normalized and
+    * reclassifying keeps each ref's polygon id, so the result needs no
+    * renormalizing.
     */
-  private[core] def reclassify(c: Long, refs: RefList, polys: Array[Polygon]): RefList = {
+  private def reclassify(c: Long, refs: RefList, polys: Array[Polygon]): RefList = {
     val b = CellId.bounds(c)
-    val out = mutable.ArrayBuffer.empty[Int]
-    refs.refs.foreach { r =>
-      if (PolygonRef.isInterior(r)) out += r
+    val out = new Array[Int](refs.size)
+    var n = 0
+    var i = 0
+    while (i < refs.size) {
+      val r = refs.refs(i)
+      if (PolygonRef.isInterior(r)) { out(n) = r; n += 1 }
       else polys(PolygonRef.polygonId(r)).relation(b) match {
-        case CellRelation.Inside   => out += PolygonRef.asInterior(r)
-        case CellRelation.Boundary => out += r
+        case CellRelation.Inside   => out(n) = PolygonRef.asInterior(r); n += 1
+        case CellRelation.Boundary => out(n) = r; n += 1
         case CellRelation.Outside  => ()
       }
+      i += 1
     }
-    RefList.of(out.toArray)
+    RefList(if (n == out.length) out else java.util.Arrays.copyOf(out, n))
   }
 }

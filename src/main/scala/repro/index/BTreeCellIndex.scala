@@ -28,15 +28,12 @@ final class BTreeCellIndex private (
   def sizeBytes: Long =
     (nLeaves.toLong + levelFirst.map(_.length - 1).sum) * 256
 
-  /** Counts one access per node visited, leaf included; `m.lastDepth` is
-    * the tree height.
-    */
+  /** Counts one access per node visited, leaf included: the tree height. */
   def probe(leafId: Long, m: ProbeCounter): Long = {
     val n = leafIds.length
     var node = 0
     var lvl = levelFirst.length - 1
     m.accesses += levelFirst.length + 1
-    m.lastDepth = levelFirst.length + 1
     while (lvl >= 0) { // descend inner levels, root first
       val first = levelFirst(lvl)
       val keys = levelKeys(lvl)

@@ -15,7 +15,7 @@ import repro.metrics.ProbeCounter
   */
 trait CellIndex extends Serializable {
   /** Probe with the query point's leaf cell id, counting the probe's
-    * accesses (the paper's per-point access metric) and depth into `m`.
+    * accesses (the paper's per-point access metric, and its depth) into `m`.
     */
   def probe(leafId: Long, m: ProbeCounter): Long
 
@@ -32,10 +32,7 @@ trait CellIndex extends Serializable {
     */
   def accessCount: Long = own.accesses
 
-  /** Depth of the last one-argument probe that reached a value. */
-  def lastDepth: Int = own.lastDepth
-
-  def resetMetrics(): Unit = synchronized { own.accesses = 0L; own.lastDepth = 0 }
+  def resetMetrics(): Unit = synchronized { own.accesses = 0L }
 
   /** Add the accesses counted in `m` to [[accessCount]]; safe from any thread. */
   def record(m: ProbeCounter): Unit = synchronized { own.accesses += m.accesses }

@@ -17,9 +17,7 @@ final class SortedCellVector(val ids: Array[Long], val entries: Array[Long]) ext
   /** 16 bytes per (id, entry) pair — like the paper's pair vector. */
   def sizeBytes: Long = ids.length.toLong * 16
 
-  /** Counts one access per binary-search step; `m.lastDepth` is the
-    * probe's step count.
-    */
+  /** Counts one access per binary-search step. */
   def probe(leafId: Long, m: ProbeCounter): Long = {
     var lo = 0
     var hi = ids.length
@@ -30,7 +28,6 @@ final class SortedCellVector(val ids: Array[Long], val entries: Array[Long]) ext
       if (ids(mid) < leafId) lo = mid + 1 else hi = mid
     }
     m.accesses += steps
-    m.lastDepth = steps
     if (lo < ids.length && CellId.rangeMin(ids(lo)) <= leafId) return entries(lo)
     if (lo > 0 && CellId.rangeMax(ids(lo - 1)) >= leafId) return entries(lo - 1)
     TaggedEntry.NoHit

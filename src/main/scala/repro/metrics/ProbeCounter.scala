@@ -1,7 +1,7 @@
 package repro.metrics
 
-/** Work counted by one probing thread: node (or search-step) accesses, the
-  * depth of the last probe, and PIP edges walked.
+/** Work counted by one probing thread: node (or search-step) accesses and
+  * PIP edges walked. A probe's depth is the accesses it adds.
   *
   * Caller-owned: a kernel call or a Spark partition allocates one, passes it
   * to every probe and PIP test, and adds the totals to the shared counters
@@ -12,6 +12,5 @@ package repro.metrics
   */
 final class ProbeCounter extends Serializable {
   var accesses: Long = 0L
-  var lastDepth: Int = 0
   var edges: Long = 0L
 }

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{ActIndex, PolygonRef, RefList, SuperCovering}
 import repro.grid.CellId
 import repro.index.SortedCellVector
+import repro.metrics.ProbeCounter
 import repro.spatial.SpatialData
 
 class ACTSpec extends AnyFunSuite {
@@ -23,6 +24,13 @@ class ACTSpec extends AnyFunSuite {
       }.distinct
     }
     SuperCovering.build(covs, ints)
+  }
+
+  /** Node accesses of one probe of `leaf`: its depth. */
+  private def depth(act: ACT, leaf: Long): Long = {
+    val m = new ProbeCounter
+    act.probe(leaf, m)
+    m.accesses
   }
 
   /** An ACT over cells and their reference lists, encoded into `lut`. */
@@ -96,11 +104,9 @@ class ACTSpec extends AnyFunSuite {
     val refs = RefList.single(PolygonRef(1, interior = true))
     val act = actOf(8, Array(bigCell, smallCell).sorted, Array(refs, refs))
     val bBig = CellId.bounds(bigCell)
-    act.probe(CellId.fromPoint(bBig.centerX, bBig.centerY))
-    val dBig = act.lastDepth
+    val dBig = depth(act, CellId.fromPoint(bBig.centerX, bBig.centerY))
     val bSmall = CellId.bounds(smallCell)
-    act.probe(CellId.fromPoint(bSmall.centerX, bSmall.centerY))
-    val dSmall = act.lastDepth
+    val dSmall = depth(act, CellId.fromPoint(bSmall.centerX, bSmall.centerY))
     assert(dBig < dSmall, s"big depth $dBig should be < small depth $dSmall")
   }
 
@@ -111,7 +117,8 @@ class ACTSpec extends AnyFunSuite {
     val a4 = actOf(8, ids, refs)
     // Total traversal depth of the probes that hit a cell.
     def depthSum(act: ACT, leaves: Seq[Long]): Long = leaves.map { leaf =>
-      if (act.probe(leaf) == TaggedEntry.NoHit) 0L else act.lastDepth.toLong
+      val m = new ProbeCounter
+      if (act.probe(leaf, m) == TaggedEntry.NoHit) 0L else m.accesses
     }.sum
     val leaves = Seq.fill(5000)(CellId.fromIJ(rnd.nextLong(1L << 30), rnd.nextLong(1L << 30), 30))
     val d4 = depthSum(a4, leaves)
@@ -126,9 +133,10 @@ class ACTSpec extends AnyFunSuite {
       Array(RefList.single(PolygonRef(1, interior = true))))
     act.resetMetrics()
     val b = CellId.bounds(cell)
-    act.probe(CellId.fromPoint(b.centerX, b.centerY))
-    assert(act.nodeAccesses >= 1)
-    assert(act.lastDepth.toLong == act.nodeAccesses)
+    val leaf = CellId.fromPoint(b.centerX, b.centerY)
+    act.probe(leaf)
+    act.probe(leaf)
+    assert(act.nodeAccesses == 2, "the cell's 8 key bits sit in the root node: one access per probe")
   }
 
   test("writeCell push-down preserves surrounding values") {

@@ -3,6 +3,7 @@ package repro.act
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{ActIndex, Join}
+import repro.grid.CellId
 import repro.spatial.SpatialData
 
 /** §3.3.1 index training: adapting the accurate index to the expected point
@@ -87,10 +88,18 @@ class TrainingSpec extends AnyFunSuite {
     assert(got == expected)
   }
 
-  test("training respects the max level cap") {
-    val idx = ActIndex.build(polys, 8, None)
-    val refinements = idx.train(trainIds, maxLevel = 0)
-    assert(refinements == 0, "no cell is below level 0")
+  test("the ACT always matches its super covering: default, 4 m and trained") {
+    val trained = ActIndex.build(polys, 8, None)
+    assert(trained.train(trainIds) > 0)
+    val rnd = new scala.util.Random(12)
+    val randomLeaves = Array.fill(20000)(CellId.fromIJ(rnd.nextLong(1L << 30), rnd.nextLong(1L << 30), 30))
+    val indexes = Seq("default" -> ActIndex.build(polys, 8, None),
+      "4 m" -> ActIndex.build(polys, 8, Some(4.0)), "trained" -> trained)
+    for ((name, idx) <- indexes; leaf <- randomLeaves ++ trainIds) {
+      // refsOf(0) is empty: a leaf in no stored cell must miss.
+      val expected = idx.sc.refsOf(idx.sc.cellContainingLeaf(leaf))
+      assert(TaggedEntry.decode(idx.act.probe(leaf), idx.lut) == expected, s"$name index, leaf $leaf")
+    }
   }
 
   private def serialize(o: AnyRef): Array[Byte] = {

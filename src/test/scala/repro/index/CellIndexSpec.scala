@@ -120,8 +120,7 @@ class CellIndexSpec extends AnyFunSuite {
         idx.resetMetrics()
         val e = idx.probe(leaf)
         val m = new ProbeCounter
-        idx.probe(leaf, m) == e && m.accesses == idx.accessCount &&
-          m.lastDepth == idx.lastDepth && m.accesses > 0
+        idx.probe(leaf, m) == e && m.accesses == idx.accessCount && m.accesses > 0
       }
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(2000).withInitialSeed(Seed(66L)), prop)
