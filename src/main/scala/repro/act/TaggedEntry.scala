@@ -71,10 +71,4 @@ object TaggedEntry {
       nT + nC
     case _ => 0
   }
-
-  /** Decode a value entry back to a [[RefList]] (tests and checks). */
-  def decode(e: Long, lut: LookupTable): RefList = {
-    val buf = new Array[Int](math.max(2, lut.sizeInts))
-    RefList.of(buf.take(refsInto(e, lut, buf)))
-  }
 }

@@ -72,6 +72,4 @@ object RefList {
     }
     RefList(if (n == s.length) s else java.util.Arrays.copyOf(s, n))
   }
-
-  def single(ref: Int): RefList = RefList(Array(ref))
 }

@@ -16,7 +16,7 @@ import scala.collection.parallel.CollectionConverters._
 final class SuperCovering extends Serializable {
   /** cellId -> refs. Invariant: keys pairwise disjoint (no cell contains
     * another), no empty ref lists. Only this class and its companion
-    * change it.
+    * change it, and in tests the reference merge it is checked against.
     */
   private[core] val cells = new java.util.TreeMap[Long, RefList]()
 
@@ -34,70 +34,6 @@ final class SuperCovering extends Serializable {
     val ce = cells.ceilingEntry(leaf)
     if (ce != null && CellId.contains(ce.getKey, leaf)) return ce.getKey
     0L
-  }
-
-  /** All stored cells strictly contained in `cell` (descendants). */
-  private def descendantsOf(cell: Long): List[Long] = {
-    val lo = CellId.rangeMin(cell)
-    val hi = CellId.rangeMax(cell)
-    val out = List.newBuilder[Long]
-    val it = cells.subMap(lo, true, hi, true).keySet().iterator()
-    while (it.hasNext) {
-      val k = it.next()
-      if (k != cell) out += k
-    }
-    out.result()
-  }
-
-  /** The stored strict ancestor of `cell`, if any. An ancestor's own id can
-    * fall outside `cell`'s id range, so check both id-order neighbours.
-    */
-  private def ancestorOf(cell: Long): Option[Long] = {
-    val fl = cells.floorEntry(cell)
-    if (fl != null && fl.getKey != cell && CellId.contains(fl.getKey, cell)) return Some(fl.getKey)
-    val ce = cells.ceilingEntry(cell)
-    if (ce != null && ce.getKey != cell && CellId.contains(ce.getKey, cell)) return Some(ce.getKey)
-    None
-  }
-
-  /** Insert `cell` with `refs`, maintaining disjointness via the paper's
-    * precision-preserving conflict resolution (Figure 4): on a conflict
-    * between ancestor c1 and descendant c2, c1 is replaced by c2 plus the
-    * difference d = c1 \ c2, with c1's references copied onto both.
-    *
-    * Unlike Listing 1's single-conflict sketch, this insert resolves
-    * *multiple* simultaneous descendants (which arise when polygons overlap
-    * repeatedly) by recursing into child cells.
-    */
-  def insert(cell: Long, refs: RefList): Unit = {
-    if (refs.isEmpty) return
-    val existing = cells.get(cell)
-    if (existing != null) { // duplicate cell: merge reference lists
-      cells.put(cell, existing.merge(refs))
-      return
-    }
-    ancestorOf(cell) match {
-      case Some(c1) =>
-        // Existing cell contains the new one: split c1 into (difference, c2)
-        // keeping its refs on every piece; then merge new refs into c2.
-        val c1Refs = cells.remove(c1)
-        CellId.difference(c1, cell).foreach(d => cells.put(d, c1Refs))
-        cells.put(cell, c1Refs.merge(refs))
-      case None =>
-        val desc = descendantsOf(cell)
-        if (desc.isEmpty) {
-          cells.put(cell, refs)
-        } else {
-          // New cell contains existing cell(s): push the new refs down by
-          // splitting into children until conflicts vanish (equivalent to
-          // iterated difference, but handles several descendants at once).
-          var k = 0
-          while (k < 4) {
-            insert(CellId.child(cell, k), refs)
-            k += 1
-          }
-        }
-    }
   }
 
   /** Replace stored `cell` by its four children, each with the cell's refs
@@ -133,16 +69,72 @@ final class SuperCovering extends Serializable {
 object SuperCovering {
 
   /** Build a super covering from per-polygon coverings and interior
-    * coverings (Listing 1): insert all covering cells with boundary refs,
-    * then all interior-covering cells with interior refs.
+    * coverings (Listing 1, Figure 4): the minimal disjoint refinement of all
+    * input cells, each output cell carrying the refs of every input cell
+    * that contains it (boundary refs from `coverings`, interior refs from
+    * `interiors`). An ancestor input thus leaves its refs on the difference
+    * cells around each descendant input, and on the descendant itself.
+    *
+    * One sort by cell id, then one sweep down from the root, like S2's
+    * `S2CellUnion::Normalize`: the inputs inside a cell form one block of
+    * the sorted ids, and a cell's own id falls in none of its children's
+    * ranges, so each child's block takes two binary searches.
     */
   def build(coverings: Seq[(Int, Vector[Long])],
             interiors: Seq[(Int, Vector[Long])]): SuperCovering = {
+    val inputs = coverings.map((_, false)) ++ interiors.map((_, true))
+    val n = inputs.iterator.map(_._1._2.size).sum
+    val cellOf = new Array[Long](n)
+    val refOf = new Array[Int](n)
+    var i = 0
+    for (((pid, cells), interior) <- inputs; cell <- cells) {
+      cellOf(i) = cell; refOf(i) = PolygonRef(pid, interior); i += 1
+    }
+    // The distinct input cells in id order, and the refs of each: an input
+    // packed as (its cell's rank, ref) sorts into one run per cell.
+    val ids = cellOf.clone()
+    java.util.Arrays.sort(ids)
+    var m = 0
+    i = 0
+    while (i < n) {
+      if (m == 0 || ids(m - 1) != ids(i)) { ids(m) = ids(i); m += 1 }
+      i += 1
+    }
+    val keyed = Array.tabulate(n)(k =>
+      java.util.Arrays.binarySearch(ids, 0, m, cellOf(k)).toLong << 32 | refOf(k))
+    java.util.Arrays.sort(keyed)
+    val refsAt = new Array[RefList](m)
+    i = 0
+    while (i < n) {
+      val rank = (keyed(i) >>> 32).toInt
+      var j = i
+      while (j < n && (keyed(j) >>> 32).toInt == rank) j += 1
+      refsAt(rank) = RefList.of(Array.tabulate(j - i)(k => keyed(i + k).toInt))
+      i = j
+    }
+
+    def firstAtLeast(id: Long, lo: Int, hi: Int): Int = {
+      val r = java.util.Arrays.binarySearch(ids, lo, hi, id)
+      if (r >= 0) r else -r - 1
+    }
     val sc = new SuperCovering
-    for ((pid, cov) <- coverings; cell <- cov)
-      sc.insert(cell, RefList.single(PolygonRef(pid, interior = false)))
-    for ((pid, interior) <- interiors; cell <- interior)
-      sc.insert(cell, RefList.single(PolygonRef(pid, interior = true)))
+    // `ids(lo until hi)` are the inputs inside `cell`, and `inherited` holds
+    // the refs of the inputs that strictly contain it.
+    def emit(cell: Long, inherited: RefList, lo: Int, hi: Int): Unit = {
+      val own = java.util.Arrays.binarySearch(ids, lo, hi, cell)
+      val refs = if (own >= 0) inherited.merge(refsAt(own)) else inherited
+      if (hi - lo == (if (own >= 0) 1 else 0)) {
+        if (!refs.isEmpty) sc.cells.put(cell, refs)
+      } else {
+        var k = 0
+        while (k < 4) {
+          val c = CellId.child(cell, k)
+          emit(c, refs, firstAtLeast(CellId.rangeMin(c), lo, hi), firstAtLeast(CellId.rangeMax(c) + 1, lo, hi))
+          k += 1
+        }
+      }
+    }
+    emit(CellId.fromPath60(0L, 0), RefList.empty, 0, m)
     sc
   }
 

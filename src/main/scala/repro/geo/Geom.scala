@@ -84,10 +84,12 @@ final case class Polygon(id: Int, xs: Array[Double], ys: Array[Double]) {
 
   /** Ray-crossing point-in-polygon test (Haines [17] in the paper); O(n).
     *
-    * Points exactly on an edge are treated as covered (ST_Covers semantics,
-    * §3.4) on a best-effort basis: the crossing rule used (half-open in y,
-    * strict in x) is consistent so adjacent largely-disjoint polygons do not
-    * double-count interior points.
+    * Points exactly on an edge follow the half-open crossing rule (an edge
+    * counts when it spans `py` half-open in y and `px` lies strictly left of
+    * it), not ST_Covers: on an axis-aligned square, points on the bottom and
+    * left edges are inside and points on the top and right edges are
+    * outside, so a point on an edge shared by two polygons joins one of
+    * them. Which rule to keep is ROADMAP item 4.
     *
     * Counts the edges walked into [[Polygon.edgeTests]], so it is for one
     * thread at a time; concurrent callers pass their own counter.

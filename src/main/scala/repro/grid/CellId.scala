@@ -157,26 +157,4 @@ object CellId {
     while (l < MaxLevel && diagonalAtLevel(l) > precisionMeters) l += 1
     l
   }
-
-  /** Cells tiling `ancestor` minus `descendant` — the paper's
-    * precision-preserving conflict-resolution difference `d` (§3.1.1,
-    * Figure 4). Exactly `3 * (level(descendant) - level(ancestor))` cells.
-    */
-  def difference(ancestor: Long, descendant: Long): Seq[Long] = {
-    require(contains(ancestor, descendant) && ancestor != descendant,
-      s"difference requires strict containment")
-    val out = Seq.newBuilder[Long]
-    var cur = ancestor
-    while (cur != descendant) {
-      var k = 0
-      var onPath = 0L
-      while (k < 4) {
-        val c = child(cur, k)
-        if (contains(c, descendant)) onPath = c else out += c
-        k += 1
-      }
-      cur = onPath
-    }
-    out.result()
-  }
 }

@@ -50,7 +50,7 @@ class ACTSpec extends AnyFunSuite {
         val leaf = CellId.fromIJ(rnd.nextLong(1L << 30), rnd.nextLong(1L << 30), 30)
         val ea = act.probe(leaf)
         val el = lb.probe(leaf)
-        assert(TaggedEntry.decode(ea, lutA) == TaggedEntry.decode(el, lutL),
+        assert(EntryRefs(ea, lutA) == EntryRefs(el, lutL),
           s"bits=$bits leaf=$leaf")
       }
     }
@@ -68,7 +68,7 @@ class ACTSpec extends AnyFunSuite {
 
   test("single-cell ACT hits inside and misses outside") {
     val cell = CellId.fromIJ(2, 3, 4)
-    val refs = RefList.single(PolygonRef(9, interior = true))
+    val refs = RefList(Array(PolygonRef(9, interior = true)))
     val act = actOf(8, Array(cell), Array(refs))
     val b = CellId.bounds(cell)
     for (_ <- 1 to 200) {
@@ -86,7 +86,7 @@ class ACTSpec extends AnyFunSuite {
     for (bits <- Seq(4, 8)) {
       // level 3 -> 6 key bits; not a multiple of 4 or 8.
       val cell = CellId.fromIJ(5, 2, 3)
-      val refs = RefList.single(PolygonRef(3, interior = false))
+      val refs = RefList(Array(PolygonRef(3, interior = false)))
       val act = actOf(bits, Array(cell), Array(refs))
       val b = CellId.bounds(cell)
       for (_ <- 1 to 500) {
@@ -101,7 +101,7 @@ class ACTSpec extends AnyFunSuite {
   test("larger cells are found at smaller depths (adaptive height)") {
     val bigCell = CellId.fromIJ(0, 0, 4)     // 8 key bits -> depth 1 at fanout 256
     val smallCell = CellId.fromIJ((1L << 16) - 1, (1L << 16) - 1, 16) // 32 bits -> depth 4
-    val refs = RefList.single(PolygonRef(1, interior = true))
+    val refs = RefList(Array(PolygonRef(1, interior = true)))
     val act = actOf(8, Array(bigCell, smallCell).sorted, Array(refs, refs))
     val bBig = CellId.bounds(bigCell)
     val dBig = depth(act, CellId.fromPoint(bBig.centerX, bBig.centerY))
@@ -130,7 +130,7 @@ class ACTSpec extends AnyFunSuite {
   test("nodeAccesses metric counts accesses per probe") {
     val cell = CellId.fromIJ(0, 0, 4)
     val act = actOf(8, Array(cell),
-      Array(RefList.single(PolygonRef(1, interior = true))))
+      Array(RefList(Array(PolygonRef(1, interior = true)))))
     act.resetMetrics()
     val b = CellId.bounds(cell)
     val leaf = CellId.fromPoint(b.centerX, b.centerY)
@@ -141,11 +141,11 @@ class ACTSpec extends AnyFunSuite {
 
   test("writeCell push-down preserves surrounding values") {
     val parent = CellId.fromIJ(1, 1, 4)
-    val refsP = RefList.single(PolygonRef(1, interior = false))
+    val refsP = RefList(Array(PolygonRef(1, interior = false)))
     val act = actOf(8, Array(parent), Array(refsP))
     // Overwrite one child with a different value (training-style refinement).
     val child = CellId.child(parent, 0)
-    val refsC = RefList.single(PolygonRef(2, interior = true))
+    val refsC = RefList(Array(PolygonRef(2, interior = true)))
     val lut = new LookupTable
     act.writeCell(child, TaggedEntry.encode(refsC, lut))
     // Points in the overwritten child see the new value...
@@ -163,7 +163,7 @@ class ACTSpec extends AnyFunSuite {
   test("writeCell with NoHit clears an area") {
     val parent = CellId.fromIJ(2, 2, 4)
     val act = actOf(8, Array(parent),
-      Array(RefList.single(PolygonRef(1, interior = false))))
+      Array(RefList(Array(PolygonRef(1, interior = false)))))
     val child = CellId.child(parent, 1)
     act.writeCell(child, TaggedEntry.NoHit)
     val cb = CellId.bounds(child)
@@ -176,7 +176,7 @@ class ACTSpec extends AnyFunSuite {
     // All cells in one level-4 cell: 8 bits of common prefix.
     val base = CellId.fromIJ(3, 3, 4)
     val cells = (0 to 3).map(k => CellId.child(CellId.child(base, k), 1)).sorted.toArray
-    val refs = cells.map(_ => RefList.single(PolygonRef(1, interior = true)))
+    val refs = cells.map(_ => RefList(Array(PolygonRef(1, interior = true))))
     val act = actOf(8, cells, refs)
     // A probe far away must be rejected by the prefix check without node access.
     act.resetMetrics()

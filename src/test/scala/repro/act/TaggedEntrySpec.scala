@@ -64,7 +64,7 @@ class TaggedEntrySpec extends AnyFunSuite {
       PolygonRef(10, interior = true), PolygonRef(20, interior = false),
       PolygonRef(30, interior = true), PolygonRef(40, interior = false)))
     val e = TaggedEntry.encode(refs, lut)
-    assert(TaggedEntry.decode(e, lut) == refs)
+    assert(EntryRefs(e, lut) == refs)
   }
 
   test("encode/decode round-trips inline entries") {
@@ -72,7 +72,7 @@ class TaggedEntrySpec extends AnyFunSuite {
     for (refs <- Seq(
       RefList.of(Array(PolygonRef(5, interior = false))),
       RefList.of(Array(PolygonRef(5, interior = true), PolygonRef(9, interior = false))))) {
-      assert(TaggedEntry.decode(TaggedEntry.encode(refs, lut), lut) == refs)
+      assert(EntryRefs(TaggedEntry.encode(refs, lut), lut) == refs)
     }
   }
 

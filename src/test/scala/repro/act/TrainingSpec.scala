@@ -98,7 +98,7 @@ class TrainingSpec extends AnyFunSuite {
     for ((name, idx) <- indexes; leaf <- randomLeaves ++ trainIds) {
       // refsOf(0) is empty: a leaf in no stored cell must miss.
       val expected = idx.sc.refsOf(idx.sc.cellContainingLeaf(leaf))
-      assert(TaggedEntry.decode(idx.act.probe(leaf), idx.lut) == expected, s"$name index, leaf $leaf")
+      assert(EntryRefs(idx.act.probe(leaf), idx.lut) == expected, s"$name index, leaf $leaf")
     }
   }
 
@@ -114,8 +114,8 @@ class TrainingSpec extends AnyFunSuite {
     val idx = ActIndex.build(polys, 8, None)
     val copy = new ObjectInputStream(new ByteArrayInputStream(serialize(idx))).readObject().asInstanceOf[ActIndex]
     leafIds.foreach { leaf =>
-      assert(TaggedEntry.decode(copy.act.probe(leaf), copy.lut) ==
-        TaggedEntry.decode(idx.act.probe(leaf), idx.lut))
+      assert(EntryRefs(copy.act.probe(leaf), copy.lut) ==
+        EntryRefs(idx.act.probe(leaf), idx.lut))
     }
     assert(exactJoin(copy)._1 == exactJoin(idx)._1)
     assert(copy.train(trainIds) == idx.train(trainIds))

@@ -2,7 +2,7 @@ package repro.core
 
 import java.util.concurrent.{Callable, CyclicBarrier, Executors}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.act.TaggedEntry
+import repro.act.{EntryRefs, TaggedEntry}
 import repro.geo.Polygon
 import repro.index.{BTreeCellIndex, SortedCellVector}
 import repro.spatial.SpatialData
@@ -57,7 +57,7 @@ class JoinSpec extends AnyFunSuite {
     for (i <- 0 until nPts if checked < 3000) {
       val e = idx.act.probe(leafIds(i))
       if (TaggedEntry.tag(e) != 0) {
-        val refs = TaggedEntry.decode(e, idx.lut)
+        val refs = EntryRefs(e, idx.lut)
         refs.trueHits.foreach { r =>
           checked += 1
           assert(polys(PolygonRef.polygonId(r)).contains(xs(i), ys(i)))
@@ -82,7 +82,7 @@ class JoinSpec extends AnyFunSuite {
       for (i <- 0 until nPts if fpChecked < 1000) {
         val e = idx.act.probe(leafIds(i))
         if (TaggedEntry.tag(e) != 0) {
-          val refs = TaggedEntry.decode(e, idx.lut)
+          val refs = EntryRefs(e, idx.lut)
           refs.candidates.foreach { r =>
             val poly = polys(PolygonRef.polygonId(r))
             if (!poly.contains(xs(i), ys(i))) {
@@ -126,7 +126,7 @@ class JoinSpec extends AnyFunSuite {
   test("approximate and exact joins count the same solely-true-hit points") {
     val idx = ActIndex.build(overlapping, 8, None)
     val entries = leafIds.map(l => idx.act.probe(l))
-    def holdsCandidate(e: Long) = TaggedEntry.decode(e, idx.lut).candidates.nonEmpty
+    def holdsCandidate(e: Long) = EntryRefs(e, idx.lut).candidates.nonEmpty
     assert(entries.exists(e => TaggedEntry.tag(e) == TaggedEntry.TagInline && holdsCandidate(e)),
       "no inline entry holds a candidate ref")
     assert(entries.exists(e => TaggedEntry.tag(e) == TaggedEntry.TagOffset && holdsCandidate(e)),

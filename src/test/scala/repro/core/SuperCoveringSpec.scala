@@ -24,51 +24,51 @@ class SuperCoveringSpec extends AnyFunSuite {
     }
   }
 
-  test("inserting disjoint cells keeps them unchanged") {
-    val sc = new SuperCovering
+  private def cellsOf(sc: SuperCovering): Seq[(Long, RefList)] = {
+    val (ids, refs) = sc.toSortedArrays
+    ids.toSeq.zip(refs)
+  }
+
+  /** `build` over the polygons in the given order, checked disjoint and
+    * equal to `build` over them in reverse order.
+    */
+  private def buildInEitherOrder(coverings: Seq[(Int, Vector[Long])],
+                                 interiors: Seq[(Int, Vector[Long])] = Seq.empty): SuperCovering = {
+    val sc = SuperCovering.build(coverings, interiors)
+    assertDisjoint(sc)
+    assert(cellsOf(SuperCovering.build(coverings.reverse, interiors.reverse)) == cellsOf(sc),
+      "polygon order changed the super covering")
+    sc
+  }
+
+  private def boundary(pid: Int) = RefList(Array(PolygonRef(pid, interior = false)))
+
+  test("disjoint cells come out unchanged in either polygon order") {
     val a = CellId.fromIJ(0, 0, 5)
     val b = CellId.fromIJ(3, 3, 5)
-    sc.insert(a, RefList.single(PolygonRef(1, interior = false)))
-    sc.insert(b, RefList.single(PolygonRef(2, interior = false)))
-    assert(sc.cellCount == 2)
-    assertDisjoint(sc)
+    val sc = buildInEitherOrder(Seq(1 -> Vector(a), 2 -> Vector(b)))
+    assert(cellsOf(sc) == Seq(a -> boundary(1), b -> boundary(2)))
   }
 
-  test("duplicate cell insert merges reference lists") {
-    val sc = new SuperCovering
+  test("a cell in several polygons' coverings carries all their refs in either polygon order") {
     val a = CellId.fromIJ(1, 1, 6)
-    sc.insert(a, RefList.single(PolygonRef(1, interior = false)))
-    sc.insert(a, RefList.single(PolygonRef(2, interior = true)))
-    assert(sc.cellCount == 1)
-    val refs = sc.cells.get(a)
-    assert(refs.size == 2)
+    val sc = buildInEitherOrder(Seq(1 -> Vector(a), 2 -> Vector(a)), Seq(3 -> Vector(a), 4 -> Vector(a)))
+    assert(cellsOf(sc) == Seq(a -> RefList.of(Array(PolygonRef(1, interior = false),
+      PolygonRef(2, interior = false), PolygonRef(3, interior = true), PolygonRef(4, interior = true)))))
   }
 
-  test("descendant insert splits the ancestor precision-preservingly") {
-    val sc = new SuperCovering
+  test("a descendant splits its ancestor precision-preservingly in either polygon order") {
     val anc = CellId.fromIJ(0, 0, 4)
     val desc = CellId.fromIJ(1, 2, 6) // inside anc (i,j < 4 at level 6 scaled)
     assert(CellId.contains(anc, desc))
-    sc.insert(anc, RefList.single(PolygonRef(1, interior = true)))
-    sc.insert(desc, RefList.single(PolygonRef(2, interior = false)))
+    val sc = buildInEitherOrder(Seq(1 -> Vector(anc), 2 -> Vector(desc)))
     // anc split into difference (3 * 2 levels = 6 cells) + desc
     assert(sc.cellCount == 7)
-    assertDisjoint(sc)
     // desc carries both refs, difference cells only polygon 1
-    assert(sc.cells.get(desc).refs.map(PolygonRef.polygonId).toSet == Set(1, 2))
+    assert(sc.refsOf(desc).refs.map(PolygonRef.polygonId).toSet == Set(1, 2))
     sc.foreachCell { (id, refs) =>
-      if (id != desc) assert(refs.refs.map(PolygonRef.polygonId).toSeq == Seq(1))
+      if (id != desc) assert(refs == boundary(1))
     }
-  }
-
-  test("ancestor insert over existing descendants pushes refs down") {
-    val sc = new SuperCovering
-    val desc = CellId.fromIJ(1, 2, 6)
-    val anc = CellId.fromIJ(0, 0, 4)
-    sc.insert(desc, RefList.single(PolygonRef(2, interior = false)))
-    sc.insert(anc, RefList.single(PolygonRef(1, interior = true)))
-    assertDisjoint(sc)
-    assert(sc.cells.get(desc).refs.map(PolygonRef.polygonId).toSet == Set(1, 2))
     // area of anc is fully covered
     val area = {
       var s = 0.0
@@ -124,11 +124,10 @@ class SuperCoveringSpec extends AnyFunSuite {
   }
 
   test("cellContainingLeaf finds ancestors whose id sorts after the leaf") {
-    val sc = new SuperCovering
     // Cell at level 2, query a leaf in its *first* quadrant: the leaf id is
     // smaller than the cell's own id.
     val cell = CellId.fromIJ(1, 1, 2)
-    sc.insert(cell, RefList.single(PolygonRef(1, interior = true)))
+    val sc = SuperCovering.build(Seq.empty, Seq(1 -> Vector(cell)))
     val b = CellId.bounds(cell)
     val leaf = CellId.fromPoint(b.xMin + 1e-3, b.yMin + 1e-3)
     assert(leaf < cell, "test setup: leaf must sort before the cell id")

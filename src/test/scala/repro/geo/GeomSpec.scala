@@ -20,6 +20,10 @@ class GeomSpec extends AnyFunSuite {
   test("PIP: center of square is inside") { assert(square.contains(2.0, 2.0)) }
   test("PIP: outside the square") { assert(!square.contains(0.5, 2.0)) }
   test("PIP: outside above") { assert(!square.contains(2.0, 3.5)) }
+  test("PIP: edge midpoints follow the half-open rule, bottom and left in, top and right out") {
+    assert(square.contains(2.0, 1.0) && square.contains(1.0, 2.0))
+    assert(!square.contains(2.0, 3.0) && !square.contains(3.0, 2.0))
+  }
   test("PIP: triangle interior") { assert(triangle.contains(2.0, 1.0)) }
   test("PIP: triangle exterior near vertex") { assert(!triangle.contains(3.9, 3.9)) }
   test("PIP: concave notch of the C is outside") { assert(!cShape.contains(2.5, 2.0)) }

@@ -1,6 +1,7 @@
 package repro.grid
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.InsertMerge
 import repro.geo.Geom
 
 /** Property-style tests (seeded, deterministic) for the cell id arithmetic
@@ -147,12 +148,14 @@ class CellIdSpec extends AnyFunSuite {
       assert(CellId.diagonalAtLevel(p._2 - 1) > p._1)
     }
 
+  // `difference` is Figure 4's conflict-resolution step, kept with the
+  // insert-at-a-time merge that tests compare `SuperCovering.build` against.
   test("difference tiles ancestor minus descendant exactly") {
     for (_ <- 1 to 200) {
       val a = randomCell(24)
       var d = CellId.child(a, rnd.nextInt(4))
       for (_ <- 0 until rnd.nextInt(4)) d = CellId.child(d, rnd.nextInt(4))
-      val diff = CellId.difference(a, d)
+      val diff = InsertMerge.difference(a, d)
       // 3 cells per level of separation
       assert(diff.size == 3 * (CellId.level(d) - CellId.level(a)))
       // disjoint from d and from each other, all inside a
@@ -170,7 +173,7 @@ class CellIdSpec extends AnyFunSuite {
 
   test("difference rejects non-strict containment") {
     val a = randomCell(20)
-    intercept[IllegalArgumentException](CellId.difference(a, a))
+    intercept[IllegalArgumentException](InsertMerge.difference(a, a))
   }
 
   test("sideAtLevel halves per level") {

@@ -3,8 +3,8 @@ package repro.index
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
-import repro.act.{ACT, LookupTable, TaggedEntry}
-import repro.core.{PolygonRef, RefList, SuperCovering}
+import repro.act.{ACT, EntryRefs, LookupTable, TaggedEntry}
+import repro.core.SuperCovering
 import repro.grid.CellId
 import repro.metrics.ProbeCounter
 
@@ -15,13 +15,12 @@ class CellIndexSpec extends AnyFunSuite {
   private val rnd = new scala.util.Random(6)
 
   private def randomCells(n: Int): (Array[Long], Array[Long], LookupTable) = {
-    val sc = new SuperCovering
-    for (pid <- 0 until n) {
+    // One random cell per polygon, as its covering or its interior covering.
+    val (interiors, coverings) = Seq.tabulate(n) { pid =>
       val lvl = 1 + rnd.nextInt(14)
-      val cell = CellId.fromIJ(rnd.nextLong(1L << lvl), rnd.nextLong(1L << lvl), lvl)
-      sc.insert(cell, RefList.single(PolygonRef(pid, rnd.nextBoolean())))
-    }
-    val (ids, refs) = sc.toSortedArrays
+      (pid -> Vector(CellId.fromIJ(rnd.nextLong(1L << lvl), rnd.nextLong(1L << lvl), lvl)), rnd.nextBoolean())
+    }.partition(_._2)
+    val (ids, refs) = SuperCovering.build(coverings.map(_._1), interiors.map(_._1)).toSortedArrays
     val lut = new LookupTable
     (ids, refs.map(r => TaggedEntry.encode(r, lut)), lut)
   }
@@ -100,7 +99,7 @@ class CellIndexSpec extends AnyFunSuite {
     val lb = SortedCellVector(ids, entries)
     for (_ <- 1 to 3000) {
       val leaf = CellId.fromIJ(rnd.nextLong(1L << 30), rnd.nextLong(1L << 30), 30)
-      assert(TaggedEntry.decode(act.probe(leaf), lut) == TaggedEntry.decode(lb.probe(leaf), lut))
+      assert(EntryRefs(act.probe(leaf), lut) == EntryRefs(lb.probe(leaf), lut))
     }
   }
 

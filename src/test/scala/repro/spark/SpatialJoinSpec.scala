@@ -6,7 +6,7 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
 import repro.{Oracle, SparkSpec}
-import repro.act.TaggedEntry
+import repro.act.EntryRefs
 import repro.core.{ActIndex, Join, ProbeSide, SuperCovering}
 import repro.geo.{Geom, Polygon}
 import repro.grid.CellId
@@ -178,7 +178,7 @@ class SpatialJoinSpec extends AnyFunSuite with SparkSpec {
     val (xs, ys, leafIds) = SpatialData.pointArrays(nPts, taxi = true, seed = 1200L)
     for (exact <- Seq(true, false)) {
       val index = ActIndex.build(overlapping, 8, if (exact) None else Some(4.0))
-      val nRefs = leafIds.map(l => TaggedEntry.decode(index.act.probe(l), index.lut).size)
+      val nRefs = leafIds.map(l => EntryRefs(index.act.probe(l), index.lut).size)
       val many = nRefs.indices.filter(nRefs(_) >= 3)
       val misses = nRefs.indices.filter(nRefs(_) == 0)
       assert(many.size >= 3 && misses.size >= 3, s"exact=$exact: ${many.size} many, ${misses.size} misses")
@@ -247,7 +247,7 @@ class SpatialJoinSpec extends AnyFunSuite with SparkSpec {
     inWorld.foreach { leaf =>
       val e = side.act.probe(leaf, pc)
       assert(copy.act.probe(leaf, pc) == e, s"leaf $leaf")
-      assert(TaggedEntry.decode(e, copy.lut) == TaggedEntry.decode(e, side.lut), s"leaf $leaf")
+      assert(EntryRefs(e, copy.lut) == EntryRefs(e, side.lut), s"leaf $leaf")
     }
   }
 
