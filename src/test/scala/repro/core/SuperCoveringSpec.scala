@@ -78,6 +78,62 @@ class SuperCoveringSpec extends AnyFunSuite {
     assert(math.abs(area - CellId.bounds(anc).area) < 1e-6 * CellId.bounds(anc).area)
   }
 
+  /** Cells inserted one at a time through [[InsertMerge.insert]]'s conflict
+    * resolution, checked disjoint.
+    */
+  private def insertEach(inserts: (Long, Int)*): SuperCovering = {
+    val sc = new SuperCovering
+    for ((cell, ref) <- inserts) InsertMerge.insert(sc, cell, RefList(Array(ref)))
+    assertDisjoint(sc)
+    sc
+  }
+
+  test("inserting disjoint cells keeps them unchanged") {
+    val a = CellId.fromIJ(0, 0, 5)
+    val b = CellId.fromIJ(3, 3, 5)
+    val sc = insertEach(a -> PolygonRef(1, interior = false), b -> PolygonRef(2, interior = false))
+    assert(sc.cellCount == 2)
+    assert(cellsOf(sc) == cellsOf(SuperCovering.build(Seq(1 -> Vector(a), 2 -> Vector(b)), Seq.empty)))
+  }
+
+  test("duplicate cell insert merges reference lists") {
+    val a = CellId.fromIJ(1, 1, 6)
+    val sc = insertEach(a -> PolygonRef(1, interior = false), a -> PolygonRef(2, interior = true))
+    assert(sc.cellCount == 1)
+    assert(sc.refsOf(a).size == 2)
+    assert(cellsOf(sc) == cellsOf(SuperCovering.build(Seq(1 -> Vector(a)), Seq(2 -> Vector(a)))))
+  }
+
+  test("descendant insert splits the ancestor precision-preservingly") {
+    val anc = CellId.fromIJ(0, 0, 4)
+    val desc = CellId.fromIJ(1, 2, 6)
+    assert(CellId.contains(anc, desc))
+    val sc = insertEach(anc -> PolygonRef(1, interior = true), desc -> PolygonRef(2, interior = false))
+    // anc split into difference (3 * 2 levels = 6 cells) + desc
+    assert(sc.cellCount == 7)
+    // desc carries both refs, difference cells only polygon 1
+    assert(sc.refsOf(desc).refs.map(PolygonRef.polygonId).toSet == Set(1, 2))
+    sc.foreachCell { (id, refs) =>
+      if (id != desc) assert(refs.refs.map(PolygonRef.polygonId).toSeq == Seq(1))
+    }
+    assert(cellsOf(sc) == cellsOf(SuperCovering.build(Seq(2 -> Vector(desc)), Seq(1 -> Vector(anc)))))
+  }
+
+  test("ancestor insert over existing descendants pushes refs down") {
+    val desc = CellId.fromIJ(1, 2, 6)
+    val anc = CellId.fromIJ(0, 0, 4)
+    val sc = insertEach(desc -> PolygonRef(2, interior = false), anc -> PolygonRef(1, interior = true))
+    assert(sc.refsOf(desc).refs.map(PolygonRef.polygonId).toSet == Set(1, 2))
+    // area of anc is fully covered
+    val area = {
+      var s = 0.0
+      sc.foreachCell((id, _) => s += CellId.bounds(id).area)
+      s
+    }
+    assert(math.abs(area - CellId.bounds(anc).area) < 1e-6 * CellId.bounds(anc).area)
+    assert(cellsOf(sc) == cellsOf(SuperCovering.build(Seq(2 -> Vector(desc)), Seq(1 -> Vector(anc)))))
+  }
+
   test("reference preservation: every (leaf, polygon) mapping survives merging") {
     // Random mini-coverings for 6 polygons, then check random leaf points.
     val covs = (0 until 6).map { pid =>
