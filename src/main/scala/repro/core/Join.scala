@@ -181,10 +181,10 @@ final class ActIndex(val polys: Array[Polygon],
     * expensive cell (>= 1 candidate ref) replaces that cell with its four
     * direct children, reclassified against the referenced polygons by
     * [[SuperCovering.split]] (precision refinement takes the same step,
-    * [[SuperCovering.children]]) — popular areas end up finer-grained. One hit refines one level; points
-    * hitting an already-refined child refine it further, so the index
-    * adapts progressively to the point distribution. Leaf cells
-    * (`CellId.MaxLevel`) never split.
+    * [[SuperCovering.children]]) — popular areas end up finer-grained. One
+    * hit refines one level; points hitting an already-refined child refine
+    * it further, so the index adapts progressively to the point
+    * distribution. Leaf cells (`CellId.MaxLevel`) never split.
     *
     * `maxBytes` is the paper's memory budget: "in practice, we would stop
     * refining the index once a user-defined memory budget is exhausted"
@@ -197,8 +197,8 @@ final class ActIndex(val polys: Array[Polygon],
     var i = 0
     while (i < leafIds.length) {
       if (act.sizeBytes > maxBytes) return refinements
-      val cell = sc.cellContainingLeaf(leafIds(i))
-      if (sc.refsOf(cell).isExpensive && CellId.level(cell) < CellId.MaxLevel) {
+      val (cell, refs) = sc.cellWithRefs(leafIds(i))
+      if (refs.isExpensive && CellId.level(cell) < CellId.MaxLevel) {
         val children = sc.split(cell, polys)
         var k = 0
         while (k < 4) {

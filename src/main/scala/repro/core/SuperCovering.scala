@@ -9,31 +9,70 @@ import scala.collection.parallel.CollectionConverters._
   * multi-resolution cells approximating an entire polygon set, each cell
   * carrying a [[RefList]] of `(polygonId, interiorFlag)` references.
   *
-  * Cells are kept in a `TreeMap` keyed by cell id; because stored cells are
-  * pairwise disjoint, containment queries are O(log n) neighbour lookups on
-  * the id order (S2CellUnion-style range arithmetic).
+  * Cells are kept as two sorted arrays, cell ids in one and their refs in
+  * the other; because stored cells are pairwise disjoint, containment
+  * queries are O(log n) neighbour lookups on the id order (S2CellUnion-style
+  * range arithmetic). Training (§3.3.1), the one change after the build and
+  * refinement, splits cells one at a time: a split base cell is marked dead,
+  * and the cells training creates are kept in a small `TreeMap` beside the
+  * arrays. Every query sees the two merged.
+  *
+  * Invariant: the live base cells and the created cells are pairwise
+  * disjoint (no cell contains another), and no ref list is empty. Created
+  * cells lie inside dead base cells.
   */
-final class SuperCovering extends Serializable {
-  /** cellId -> refs. Invariant: keys pairwise disjoint (no cell contains
-    * another), no empty ref lists. Only this class and its companion
-    * change it, and in tests the reference merge it is checked against.
-    */
-  private[core] val cells = new java.util.TreeMap[Long, RefList]()
+final class SuperCovering private (private var ids: Array[Long],
+                                   private var refs: Array[RefList]) extends Serializable {
+  /** Base cells that training split. */
+  private val dead = new java.util.BitSet
+  /** Cells training created, by id. */
+  private val created = new java.util.TreeMap[Long, RefList]()
 
-  def cellCount: Int = cells.size
+  def cellCount: Int = ids.length - dead.cardinality + created.size
 
   /** The refs stored for `cell`, or empty if `cell` is not stored. */
-  def refsOf(cell: Long): RefList = cells.getOrDefault(cell, RefList.empty)
+  def refsOf(cell: Long): RefList = {
+    val i = liveIndexOf(cell)
+    if (i >= 0) refs(i) else created.getOrDefault(cell, RefList.empty)
+  }
 
-  /** The (unique, by disjointness) stored cell containing leaf id `leaf`,
-    * or 0 if none. Used by index probing fallbacks and training.
+  /** The index of `cell` among the base cells, if it is stored there and
+    * training has not split it, or -1.
     */
-  def cellContainingLeaf(leaf: Long): Long = {
-    val fl = cells.floorEntry(leaf)
-    if (fl != null && CellId.contains(fl.getKey, leaf)) return fl.getKey
-    val ce = cells.ceilingEntry(leaf)
-    if (ce != null && CellId.contains(ce.getKey, leaf)) return ce.getKey
-    0L
+  private def liveIndexOf(cell: Long): Int = {
+    val i = java.util.Arrays.binarySearch(ids, cell)
+    if (i >= 0 && !dead.get(i)) i else -1
+  }
+
+  /** The (unique, by disjointness) stored cell containing leaf id `leaf`
+    * and its refs, or `(0, RefList.empty)` if none: one search, for
+    * training.
+    */
+  def cellWithRefs(leaf: Long): (Long, RefList) = {
+    val i = baseIndexContaining(leaf)
+    if (i < 0) return (0L, RefList.empty) // created cells lie inside base cells
+    if (!dead.get(i)) return (ids(i), refs(i))
+    val fl = created.floorEntry(leaf)
+    if (fl != null && CellId.contains(fl.getKey, leaf)) return (fl.getKey, fl.getValue)
+    val ce = created.ceilingEntry(leaf)
+    if (ce != null && CellId.contains(ce.getKey, leaf)) return (ce.getKey, ce.getValue)
+    (0L, RefList.empty)
+  }
+
+  /** The stored cell containing leaf id `leaf`, or 0 if none. */
+  def cellContainingLeaf(leaf: Long): Long = cellWithRefs(leaf)._1
+
+  /** The index of the base cell, dead or alive, containing leaf id `leaf`,
+    * or -1. A cell's own id can sort after a leaf inside it, so both
+    * id-order neighbours are checked.
+    */
+  private def baseIndexContaining(leaf: Long): Int = {
+    val r = java.util.Arrays.binarySearch(ids, leaf)
+    if (r >= 0) return r
+    val next = -r - 1
+    if (next > 0 && CellId.contains(ids(next - 1), leaf)) next - 1
+    else if (next < ids.length && CellId.contains(ids(next), leaf)) next
+    else -1
   }
 
   /** Replace stored `cell` by its four children, each with the cell's refs
@@ -42,27 +81,50 @@ final class SuperCovering extends Serializable {
     * child order, empty for those not stored. Training's step (§3.3.1).
     */
   def split(cell: Long, polys: Array[Polygon]): Array[RefList] = {
-    val children = SuperCovering.children(cell, cells.remove(cell), polys)
+    val i = liveIndexOf(cell)
+    val cellRefs = if (i >= 0) { dead.set(i); refs(i) } else created.remove(cell)
+    val children = SuperCovering.children(cell, cellRefs, polys)
     var k = 0
     while (k < 4) {
-      if (!children(k).isEmpty) cells.put(CellId.child(cell, k), children(k))
+      if (!children(k).isEmpty) created.put(CellId.child(cell, k), children(k))
       k += 1
     }
     children
   }
 
-  /** Iterate (cellId, refs) in id order. */
+  /** Iterate (cellId, refs) in id order: a dead base cell's place is taken
+    * by the created cells inside it.
+    */
   def foreachCell(f: (Long, RefList) => Unit): Unit = {
-    val it = cells.entrySet().iterator()
-    while (it.hasNext) { val e = it.next(); f(e.getKey, e.getValue) }
+    var i = 0
+    while (i < ids.length) {
+      if (!dead.get(i)) f(ids(i), refs(i))
+      else created.subMap(CellId.rangeMin(ids(i)), true, CellId.rangeMax(ids(i)), true)
+        .forEach((id, r) => f(id, r))
+      i += 1
+    }
   }
 
-  def toSortedArrays: (Array[Long], Array[RefList]) = {
-    val ids = new Array[Long](cells.size)
-    val rs  = new Array[RefList](cells.size)
-    var i = 0
-    foreachCell { (id, r) => ids(i) = id; rs(i) = r; i += 1 }
-    (ids, rs)
+  /** The stored cells in id order, as cell ids and their refs. Until
+    * training splits a cell these are the stored arrays themselves, so
+    * callers must not modify them.
+    */
+  def toSortedArrays: (Array[Long], Array[RefList]) =
+    if (dead.isEmpty && created.isEmpty) (ids, refs)
+    else {
+      val outIds = new Array[Long](cellCount)
+      val outRefs = new Array[RefList](cellCount)
+      var i = 0
+      foreachCell { (id, r) => outIds(i) = id; outRefs(i) = r; i += 1 }
+      (outIds, outRefs)
+    }
+
+  /** Make `ids` and `refs`, sorted and disjoint, the stored cells. */
+  private def replaceWith(ids: Array[Long], refs: Array[RefList]): Unit = {
+    this.ids = ids
+    this.refs = refs
+    dead.clear()
+    created.clear()
   }
 }
 
@@ -117,14 +179,15 @@ object SuperCovering {
       val r = java.util.Arrays.binarySearch(ids, lo, hi, id)
       if (r >= 0) r else -r - 1
     }
-    val sc = new SuperCovering
+    val outIds = mutable.ArrayBuilder.make[Long]
+    val outRefs = mutable.ArrayBuilder.make[RefList]
     // `ids(lo until hi)` are the inputs inside `cell`, and `inherited` holds
     // the refs of the inputs that strictly contain it.
     def emit(cell: Long, inherited: RefList, lo: Int, hi: Int): Unit = {
       val own = java.util.Arrays.binarySearch(ids, lo, hi, cell)
       val refs = if (own >= 0) inherited.merge(refsAt(own)) else inherited
       if (hi - lo == (if (own >= 0) 1 else 0)) {
-        if (!refs.isEmpty) sc.cells.put(cell, refs)
+        if (!refs.isEmpty) { outIds += cell; outRefs += refs }
       } else {
         var k = 0
         while (k < 4) {
@@ -135,8 +198,14 @@ object SuperCovering {
       }
     }
     emit(CellId.fromPath60(0L, 0), RefList.empty, 0, m)
-    sc
+    fromSortedArrays(outIds.result(), outRefs.result())
   }
+
+  /** A super covering of the cells `ids`, which must be sorted and
+    * pairwise disjoint, with `refs(i)` the non-empty refs of `ids(i)`.
+    */
+  private[core] def fromSortedArrays(ids: Array[Long], refs: Array[RefList]): SuperCovering =
+    new SuperCovering(ids, refs)
 
   /** Per-polygon coverings and interior coverings, computed in parallel
     * over polygons like the paper — the input of [[build]].
@@ -161,23 +230,43 @@ object SuperCovering {
     * the polygon with that id.
     */
   def refineToPrecision(sc: SuperCovering, minLevel: Int, polys: Array[Polygon]): Unit = {
-    // Only the cells the recursion ends at are stored: putting and removing
-    // every intermediate cell would cost a map round trip per split.
-    def refine(cell: Long, refs: RefList): Unit =
-      if (refs.isExpensive && CellId.level(cell) < minLevel) {
-        val cs = children(cell, refs, polys)
-        var k = 0
-        while (k < 4) { refine(CellId.child(cell, k), cs(k)); k += 1 }
-      } else if (!refs.isEmpty) sc.cells.put(cell, refs)
-    val expensive = mutable.ArrayBuffer.empty[Long]
-    sc.foreachCell { (id, refs) =>
-      if (refs.isExpensive) expensive += id
-    }
+    val (ids, refs) = sc.toSortedArrays
     // Every expensive cell is reclassified first: conflict resolution
     // (Figure 4) copies an ancestor's candidate refs onto difference cells
     // that may not touch the referenced polygon at all; reclassification
     // drops those (Outside) and upgrades fully-contained ones to true hits.
-    expensive.foreach(id => refine(id, reclassify(id, sc.cells.remove(id), polys)))
+    // Each expensive cell then refines on its own, in parallel, into one run
+    // of cells in child order, which is id order inside the cell's range.
+    val runs = ids.indices.filter(i => refs(i).isExpensive).toArray.par.map { i =>
+      val runIds = mutable.ArrayBuilder.make[Long]
+      val runRefs = mutable.ArrayBuilder.make[RefList]
+      def refine(cell: Long, r: RefList): Unit =
+        if (r.isExpensive && CellId.level(cell) < minLevel) {
+          val cs = children(cell, r, polys)
+          var k = 0
+          while (k < 4) { refine(CellId.child(cell, k), cs(k)); k += 1 }
+        } else if (!r.isEmpty) { runIds += cell; runRefs += r }
+      refine(ids(i), reclassify(ids(i), refs(i), polys))
+      (runIds.result(), runRefs.result())
+    }.toArray
+    // Splice: each run takes its cell's place between the untouched cells.
+    val n = ids.length - runs.length + runs.iterator.map(_._1.length).sum
+    val outIds = new Array[Long](n)
+    val outRefs = new Array[RefList](n)
+    var o = 0
+    var e = 0
+    var i = 0
+    while (i < ids.length) {
+      if (refs(i).isExpensive) {
+        val (runIds, runRefs) = runs(e)
+        System.arraycopy(runIds, 0, outIds, o, runIds.length)
+        System.arraycopy(runRefs, 0, outRefs, o, runRefs.length)
+        o += runIds.length
+        e += 1
+      } else { outIds(o) = ids(i); outRefs(o) = refs(i); o += 1 }
+      i += 1
+    }
+    sc.replaceWith(outIds, outRefs)
   }
 
   /** The split step shared by precision refinement (§3.2) and training
@@ -193,7 +282,7 @@ object SuperCovering {
     * reclassifying keeps each ref's polygon id, so the result needs no
     * renormalizing.
     */
-  private def reclassify(c: Long, refs: RefList, polys: Array[Polygon]): RefList = {
+  private[core] def reclassify(c: Long, refs: RefList, polys: Array[Polygon]): RefList = {
     val b = CellId.bounds(c)
     val out = new Array[Int](refs.size)
     var n = 0

@@ -2,7 +2,7 @@ package repro.act
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{ActIndex, Join}
+import repro.core.{ActIndex, InsertMerge, Join, SuperCovering}
 import repro.grid.CellId
 import repro.spatial.SpatialData
 
@@ -100,6 +100,68 @@ class TrainingSpec extends AnyFunSuite {
       val expected = idx.sc.refsOf(idx.sc.cellContainingLeaf(leaf))
       assert(EntryRefs(idx.act.probe(leaf), idx.lut) == expected, s"$name index, leaf $leaf")
     }
+  }
+
+  /** Training (§3.3.1) over a plain `TreeMap` copy of `idx`'s super
+    * covering, writing `idx`'s ACT: the reference [[ActIndex.train]] must
+    * equal. Returns the cells after training, the refinements, and how
+    * many of them split a cell of the copy and a cell training created.
+    */
+  private def trainOverTreeMap(idx: ActIndex, leafIds: Array[Long],
+                               maxBytes: Long): (InsertMerge.Cells, Long, Long, Long) = {
+    val cells = InsertMerge.cellsOf(idx.sc)
+    val base = new java.util.HashSet[Long](cells.keySet)
+    def containing(leaf: Long): Long =
+      Seq(cells.floorEntry(leaf), cells.ceilingEntry(leaf))
+        .find(e => e != null && CellId.contains(e.getKey, leaf)).fold(0L)(_.getKey)
+    var refinements, onBase, onCreated = 0L
+    val it = leafIds.iterator
+    while (it.hasNext && idx.act.sizeBytes <= maxBytes) {
+      val cell = containing(it.next())
+      if (cell != 0L && cells.get(cell).isExpensive && CellId.level(cell) < CellId.MaxLevel) {
+        val children = SuperCovering.children(cell, cells.remove(cell), idx.polys)
+        for (k <- 0 until 4) {
+          if (!children(k).isEmpty) cells.put(CellId.child(cell, k), children(k))
+          idx.act.writeCell(CellId.child(cell, k), TaggedEntry.encode(children(k), idx.lut))
+        }
+        refinements += 1
+        if (base.contains(cell)) onBase += 1 else onCreated += 1
+      }
+    }
+    (cells, refinements, onBase, onCreated)
+  }
+
+  /** `build` trained by [[ActIndex.train]] and by [[trainOverTreeMap]] on
+    * 1 M taxi points, under the Table 6 budget (16 MiB of growth) and
+    * without one: the refinements, cells, refs and ACT sizes must agree.
+    * Returns the oracle's splits of copied and of created cells, unbudgeted.
+    */
+  private def assertTrainsLikeTreeMap(build: () => ActIndex): (Long, Long) = {
+    val points = SpatialData.pointArrays(1000000, taxi = true, seed = 2009L)._3
+    val unbudgeted = for (budgeted <- Seq(true, false)) yield {
+      val Seq(idx, ref) = Seq.fill(2)(build())
+      val maxBytes = if (budgeted) idx.act.sizeBytes + 16L * 1024 * 1024 else Long.MaxValue
+      val refinements = idx.train(points, maxBytes)
+      val (cells, expected, onBase, onCreated) = trainOverTreeMap(ref, points, maxBytes)
+      val what = if (budgeted) "under the budget" else "without a budget"
+      assert(refinements == expected, what)
+      assert(InsertMerge.cellsOf(idx.sc) == cells, what)
+      assert(idx.sc.cellCount == cells.size, what)
+      assert(idx.act.sizeBytes == ref.act.sizeBytes, what)
+      (onBase, onCreated)
+    }
+    unbudgeted.last
+  }
+
+  test("training on boroughs equals training over a TreeMap, with and without a budget") {
+    val polys = SpatialData.boroughs()
+    assertTrainsLikeTreeMap(() => ActIndex.build(polys, 8, None))
+  }
+
+  test("training on neighborhoods at 4 m equals training over a TreeMap, with and without a budget") {
+    val polys = SpatialData.neighborhoods()
+    val (onBase, onCreated) = assertTrainsLikeTreeMap(() => ActIndex.build(polys, 8, Some(4.0)))
+    assert(onBase > 0 && onCreated > 0, s"splits of built cells: $onBase, of trained cells: $onCreated")
   }
 
   private def serialize(o: AnyRef): Array[Byte] = {

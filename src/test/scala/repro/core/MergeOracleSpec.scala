@@ -7,8 +7,9 @@ import repro.grid.CellId
 import repro.spatial.SpatialData
 
 /** [[SuperCovering.build]]'s sort-and-sweep merge equals the
-  * insert-at-a-time merge of [[InsertMerge]], cell for cell and refs
-  * included.
+  * insert-at-a-time merge of [[InsertMerge]], and
+  * [[SuperCovering.refineToPrecision]]'s parallel refinement equals its
+  * serial one, cell for cell and refs included.
   */
 class MergeOracleSpec extends AnyFunSuite {
 
@@ -53,16 +54,26 @@ class MergeOracleSpec extends AnyFunSuite {
     assert(res.passed, res.status)
   }
 
+  /** A second super covering of the cells of `sc`, on copies of its arrays. */
+  private def copyOf(sc: SuperCovering): SuperCovering = {
+    val (ids, refs) = sc.toSortedArrays
+    SuperCovering.fromSortedArrays(ids.clone(), refs.clone())
+  }
+
   for (name <- Seq("boroughs", "neighborhoods", "census"))
     test(s"build equals the insert-at-a-time merge on $name, merged and refined at 60, 15 and 4 m") {
       val polys = SpatialData.dataset(name)
       val (covs, ints) = SuperCovering.coverings(polys)
-      assert(sameCells(SuperCovering.build(covs, ints), InsertMerge.build(covs, ints)), "after the merge")
+      val sweep = SuperCovering.build(covs, ints)
+      val oracle = InsertMerge.build(covs, ints)
+      assert(sameCells(sweep, oracle), "after the merge")
       for (p <- Seq(60.0, 15.0, 4.0)) {
-        val Seq(sweep, oracle) = Seq(SuperCovering.build(covs, ints), InsertMerge.build(covs, ints))
-        for (sc <- Seq(sweep, oracle))
-          SuperCovering.refineToPrecision(sc, CellId.levelForPrecision(p), polys)
-        assert(sameCells(sweep, oracle), s"after refinement at $p m")
+        val level = CellId.levelForPrecision(p)
+        val Seq(refined, again) = Seq.fill(2)(copyOf(sweep))
+        for (sc <- Seq(refined, again)) SuperCovering.refineToPrecision(sc, level, polys)
+        assert(sameCells(refined, InsertMerge.refineToPrecision(oracle, level, polys)),
+          s"after refinement at $p m")
+        assert(sameCells(refined, again), s"two refinements at $p m differ")
       }
     }
 }

@@ -82,8 +82,9 @@ class SuperCoveringSpec extends AnyFunSuite {
     * resolution, checked disjoint.
     */
   private def insertEach(inserts: (Long, Int)*): SuperCovering = {
-    val sc = new SuperCovering
-    for ((cell, ref) <- inserts) InsertMerge.insert(sc, cell, RefList(Array(ref)))
+    val cells = new InsertMerge.Cells
+    for ((cell, ref) <- inserts) InsertMerge.insert(cells, cell, RefList(Array(ref)))
+    val sc = InsertMerge.of(cells)
     assertDisjoint(sc)
     sc
   }
@@ -149,7 +150,7 @@ class SuperCoveringSpec extends AnyFunSuite {
       val expected = covs.filter(_._2.exists(c => CellId.contains(c, leaf))).map(_._1).toSet
       val cell = sc.cellContainingLeaf(leaf)
       val got = if (cell == 0L) Set.empty[Int]
-                else sc.cells.get(cell).refs.map(PolygonRef.polygonId).toSet
+                else sc.refsOf(cell).refs.map(PolygonRef.polygonId).toSet
       assert(got == expected, s"leaf=$leaf expected=$expected got=$got")
     }
   }
@@ -160,8 +161,8 @@ class SuperCoveringSpec extends AnyFunSuite {
     val sc = SuperCovering.build(cov, interior)
     assertDisjoint(sc)
     val interiorCell = CellId.fromIJ(1, 1, 5)
-    val refs = sc.cells.get(interiorCell)
-    assert(refs != null && PolygonRef.isInterior(refs.refs(0)))
+    val refs = sc.refsOf(interiorCell)
+    assert(!refs.isEmpty && PolygonRef.isInterior(refs.refs(0)))
   }
 
   test("build on a real polygon set produces a disjoint covering") {
@@ -218,7 +219,7 @@ class SuperCoveringSpec extends AnyFunSuite {
     for ((x, y, leaf) <- testLeaves; p <- polys if p.contains(x, y)) {
       val cell = sc.cellContainingLeaf(leaf)
       assert(cell != 0L, s"inside point ($x,$y) lost its cell")
-      val pids = sc.cells.get(cell).refs.map(PolygonRef.polygonId).toSet
+      val pids = sc.refsOf(cell).refs.map(PolygonRef.polygonId).toSet
       assert(pids.contains(p.id), s"inside point ($x,$y) lost polygon ${p.id}")
     }
     before.clear()
@@ -239,6 +240,17 @@ class SuperCoveringSpec extends AnyFunSuite {
     val before = Polygon.edgeTests
     val (covs, ints) = SuperCovering.coverings(polys)
     assert(covs.nonEmpty && ints.nonEmpty)
+    assert(Polygon.edgeTests == before)
+  }
+
+  test("parallel refinement leaves the shared PIP edge counter alone") {
+    // Refinement classifies cells against polygons on several threads at
+    // once, so Polygon.relation must not count into Polygon.edgeTests.
+    val polys = SpatialData.neighborhoods()
+    val sc = SuperCovering.ofPolygons(polys)
+    val before = Polygon.edgeTests
+    SuperCovering.refineToPrecision(sc, CellId.levelForPrecision(4.0), polys)
+    assert(sc.cellCount > 0)
     assert(Polygon.edgeTests == before)
   }
 }
