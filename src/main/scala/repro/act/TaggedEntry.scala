@@ -37,6 +37,22 @@ object TaggedEntry {
   @inline def offset(off: Int): Long = (off.toLong << 2) | TagOffset
   @inline def offsetValue(e: Long): Int = (e >>> 2).toInt
 
+  /** True iff value entry `e` holds a candidate ref: the paper's
+    * expensive cell ([[repro.core.RefList.isExpensive]]), read from the
+    * entry without decoding it. A no-hit entry holds none.
+    */
+  def isExpensive(e: Long, lut: LookupTable): Boolean = tag(e) match {
+    case TagInline =>
+      !PolygonRef.isInterior(inlineRef1(e)) || {
+        val r2 = inlineRef2(e)
+        r2 >= 0 && !PolygonRef.isInterior(r2)
+      }
+    case TagOffset =>
+      val off = offsetValue(e)
+      lut(off + 1 + lut(off)) > 0
+    case _ => false
+  }
+
   /** Encode a (non-empty) reference list as a value entry, interning into
     * `lut` when more than two references exist.
     */

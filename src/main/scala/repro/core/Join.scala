@@ -186,6 +186,11 @@ final class ActIndex(val polys: Array[Polygon],
     * it further, so the index adapts progressively to the point
     * distribution. Leaf cells (`CellId.MaxLevel`) never split.
     *
+    * Each point first probes the ACT, which holds every stored cell's refs,
+    * and looks its cell up in the super covering only when the entry it
+    * finds holds a candidate ([[TaggedEntry.isExpensive]]): points on cheap
+    * cells, most of them once the index has adapted, cost one probe.
+    *
     * `maxBytes` is the paper's memory budget: "in practice, we would stop
     * refining the index once a user-defined memory budget is exhausted"
     * (§3.3.1) — refinement stops once the ACT grows past it.
@@ -193,22 +198,25 @@ final class ActIndex(val polys: Array[Polygon],
     * Returns the number of cell refinements performed.
     */
   def train(leafIds: Array[Long], maxBytes: Long = Long.MaxValue): Long = {
+    val m = new ProbeCounter
     var refinements = 0L
     var i = 0
-    while (i < leafIds.length) {
-      if (act.sizeBytes > maxBytes) return refinements
-      val (cell, refs) = sc.cellWithRefs(leafIds(i))
-      if (refs.isExpensive && CellId.level(cell) < CellId.MaxLevel) {
-        val children = sc.split(cell, polys)
-        var k = 0
-        while (k < 4) {
-          act.writeCell(CellId.child(cell, k), TaggedEntry.encode(children(k), lut))
-          k += 1
+    while (i < leafIds.length && act.sizeBytes <= maxBytes) {
+      if (TaggedEntry.isExpensive(act.probe(leafIds(i), m), lut)) {
+        val (cell, refs) = sc.cellWithRefs(leafIds(i))
+        if (refs.isExpensive && CellId.level(cell) < CellId.MaxLevel) {
+          val children = sc.split(cell, polys)
+          var k = 0
+          while (k < 4) {
+            act.writeCell(CellId.child(cell, k), TaggedEntry.encode(children(k), lut))
+            k += 1
+          }
+          refinements += 1
         }
-        refinements += 1
       }
       i += 1
     }
+    sc.fold()
     refinements
   }
 

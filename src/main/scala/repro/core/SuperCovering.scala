@@ -15,7 +15,8 @@ import scala.collection.parallel.CollectionConverters._
   * range arithmetic). Training (§3.3.1), the one change after the build and
   * refinement, splits cells one at a time: a split base cell is marked dead,
   * and the cells training creates are kept in a small `TreeMap` beside the
-  * arrays. Every query sees the two merged.
+  * arrays. Every query sees the two merged, and [[ActIndex.train]] folds
+  * them back into the arrays ([[fold]]) when it returns.
   *
   * Invariant: the live base cells and the created cells are pairwise
   * disjoint (no cell contains another), and no ref list is empty. Created
@@ -118,6 +119,14 @@ final class SuperCovering private (private var ids: Array[Long],
       foreachCell { (id, r) => outIds(i) = id; outRefs(i) = r; i += 1 }
       (outIds, outRefs)
     }
+
+  /** Fold training's overlay into the sorted arrays: the dead base cells
+    * leave them, and the created cells take their places.
+    */
+  private[core] def fold(): Unit = {
+    val (ids, refs) = toSortedArrays
+    replaceWith(ids, refs)
+  }
 
   /** Make `ids` and `refs`, sorted and disjoint, the stored cells. */
   private def replaceWith(ids: Array[Long], refs: Array[RefList]): Unit = {

@@ -7,10 +7,10 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM, or, where it is unset, to half of the machine's
+  * physical memory clamped to 2–8 GiB. Broadcast joins are disabled so
+  * shuffle/join papers actually exercise the shuffle path at SF~=0.1;
+  * re-enable per-query if the paper's contribution is the broadcast side.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -31,6 +31,7 @@ object SparkSpec {
     // derivation saw the real limit (README § Spark target).
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
+      s"maxHeap=${Runtime.getRuntime.maxMemory >> 20}m " +
       s"master=${s.sparkContext.master} " +
       s"defaultParallelism=${s.sparkContext.defaultParallelism}"
     )

@@ -76,6 +76,18 @@ class TaggedEntrySpec extends AnyFunSuite {
     }
   }
 
+  test("isExpensive reads an entry's candidates like RefList.isExpensive, for every kind of entry") {
+    val lut = new LookupTable
+    def ref(pid: Int, interior: Boolean) = PolygonRef(pid, interior)
+    val lists = Seq(RefList.empty) ++
+      (for (i <- Seq(true, false)) yield RefList.of(Array(ref(3, i)))) ++
+      (for (i1 <- Seq(true, false); i2 <- Seq(true, false)) yield RefList.of(Array(ref(3, i1), ref(PolygonRef.MaxPolygonId, i2)))) ++
+      (for (flags <- Seq(Seq(true, true, true), Seq(true, false, true), Seq(false, false, false), Seq(true, true, true, false)))
+        yield RefList.of(flags.zipWithIndex.map { case (i, pid) => ref(pid, i) }.toArray))
+    for (refs <- lists)
+      assert(TaggedEntry.isExpensive(TaggedEntry.encode(refs, lut), lut) == refs.isExpensive, refs)
+  }
+
   test("lookup table dedupes identical reference lists") {
     val lut = new LookupTable
     val refs = RefList.of(Array(PolygonRef(1, interior = true),

@@ -3,6 +3,7 @@ package repro.act
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{ActIndex, InsertMerge, Join, SuperCovering}
+import repro.geo.Geom
 import repro.grid.CellId
 import repro.spatial.SpatialData
 
@@ -100,6 +101,30 @@ class TrainingSpec extends AnyFunSuite {
       val expected = idx.sc.refsOf(idx.sc.cellContainingLeaf(leaf))
       assert(EntryRefs(idx.act.probe(leaf), idx.lut) == expected, s"$name index, leaf $leaf")
     }
+  }
+
+  test("an entry holds a candidate exactly where its cell is expensive: default, 4 m and trained") {
+    val polys = SpatialData.neighborhoods()
+    val trained = ActIndex.build(polys, 8, None)
+    assert(trained.train(trainIds) > 0)
+    // Three copies of one polygon: their interior cells hold three true
+    // hits, a lookup-table entry without candidates.
+    val stacked = Array.tabulate(3)(id => polys(0).copy(id = id))
+    val indexes = Seq("default" -> ActIndex.build(polys, 8, None),
+      "4 m" -> ActIndex.build(polys, 8, Some(4.0)), "trained" -> trained,
+      "stacked" -> ActIndex.build(stacked, 8, None))
+    val kinds = scala.collection.mutable.Set.empty[String]
+    for ((name, idx) <- indexes) idx.sc.foreachCell { (cell, refs) =>
+      val e = idx.act.probe(CellId.rangeMin(cell))
+      assert(TaggedEntry.isExpensive(e, idx.lut) == refs.isExpensive, s"$name index, cell $cell, refs $refs")
+      kinds += (TaggedEntry.tag(e) match {
+        case TaggedEntry.TagInline => s"${refs.size} inline"
+        case _ => s"lookup table, ${if (refs.isExpensive) "with" else "without"} candidates"
+      })
+    }
+    assert(kinds == Set("1 inline", "2 inline", "lookup table, with candidates", "lookup table, without candidates"))
+    val miss = ActIndex.build(polys.take(1), 8, None)
+    assert(!TaggedEntry.isExpensive(miss.act.probe(CellId.fromPoint(Geom.World - 1, Geom.World - 1)), miss.lut))
   }
 
   /** Training (§3.3.1) over a plain `TreeMap` copy of `idx`'s super

@@ -233,6 +233,21 @@ class SuperCoveringSpec extends AnyFunSuite {
     assert(sc1.cellCount > c1)
   }
 
+  private def serialized(o: AnyRef): Array[Byte] = {
+    val buf = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(buf)
+    out.writeObject(o)
+    out.close()
+    buf.toByteArray
+  }
+
+  test("training folds its overlay: a trained covering serializes like one built from its cells") {
+    val idx = ActIndex.build(SpatialData.boroughs(), 8, None)
+    assert(idx.train(SpatialData.pointArrays(100000, taxi = true, seed = 2009L)._3) > 0)
+    val (ids, refs) = idx.sc.toSortedArrays
+    assert(java.util.Arrays.equals(serialized(idx.sc), serialized(SuperCovering.fromSortedArrays(ids, refs))))
+  }
+
   test("parallel covering builds leave the shared PIP edge counter alone") {
     // Cell classification runs on several threads at once; counting into
     // Polygon.edgeTests there lost updates.
