@@ -39,13 +39,21 @@ object Join {
 
   /** Approximate join (`__APPROX` in Listing 3): candidate hits are emitted
     * as hits; no PIP is ever run. `counts` must have >= #polygons slots.
+    *
+    * Placing each point is the caller's job: `leafIds` must come from
+    * points for which `CellId.placeable` holds. `CellId.fromPoint` clamps
+    * any other point into the world square, so its leaf can join polygons
+    * on the world's border. The Spark operator probes such points as misses
+    * (DESIGN.md §3).
     */
   def approximateCounts(index: CellIndex, lut: LookupTable,
                         leafIds: Array[Long], counts: Array[Long]): JoinStats =
     probeCounts(index, lut, exact = false, null, null, leafIds, null, counts)
 
   /** Exact join: candidate hits are refined with a PIP test (Listing 3
-    * without `__APPROX`). `polys` must be indexed by polygon id.
+    * without `__APPROX`). `polys` must be indexed by polygon id. The leaf
+    * ids obey [[approximateCounts]]'s contract: a clamped out-of-world leaf
+    * can reach a true hit of a border polygon, which joins without PIP.
     */
   def exactCounts(index: CellIndex, lut: LookupTable,
                   xs: Array[Double], ys: Array[Double], leafIds: Array[Long],
@@ -180,16 +188,18 @@ final class ActIndex(val polys: Array[Polygon],
   /** Train with historical points (§3.3.1): a training point hitting an
     * expensive cell (>= 1 candidate ref) replaces that cell with its four
     * direct children, reclassified against the referenced polygons by
-    * [[SuperCovering.split]] (precision refinement takes the same step,
-    * [[SuperCovering.children]]) — popular areas end up finer-grained. One
-    * hit refines one level; points hitting an already-refined child refine
-    * it further, so the index adapts progressively to the point
-    * distribution. Leaf cells (`CellId.MaxLevel`) never split.
+    * [[SuperCovering.children]], the split step precision refinement takes
+    * too — popular areas end up finer-grained. One hit refines one level;
+    * points hitting an already-refined child refine it further, so the
+    * index adapts progressively to the point distribution. Leaf cells
+    * (`CellId.MaxLevel`) never split.
     *
-    * Each point first probes the ACT, which holds every stored cell's refs,
-    * and looks its cell up in the super covering only when the entry it
-    * finds holds a candidate ([[TaggedEntry.isExpensive]]): points on cheap
-    * cells, most of them once the index has adapted, cost one probe.
+    * The cells being trained live in a `TreeMap` of this call, copied from
+    * the super covering, and go back into it when the call returns. Each
+    * point first probes the ACT, which holds every stored cell's refs, and
+    * looks its cell up in the map only when the entry it finds holds a
+    * candidate ([[TaggedEntry.isExpensive]]): points on cheap cells, most of
+    * them once the index has adapted, cost one probe.
     *
     * `maxBytes` is the paper's memory budget: "in practice, we would stop
     * refining the index once a user-defined memory budget is exhausted"
@@ -198,17 +208,25 @@ final class ActIndex(val polys: Array[Polygon],
     * Returns the number of cell refinements performed.
     */
   def train(leafIds: Array[Long], maxBytes: Long = Long.MaxValue): Long = {
+    val cells = new java.util.TreeMap[Long, RefList]()
+    sc.foreachCell((id, refs) => cells.put(id, refs))
     val m = new ProbeCounter
     var refinements = 0L
     var i = 0
     while (i < leafIds.length && act.sizeBytes <= maxBytes) {
-      if (TaggedEntry.isExpensive(act.probe(leafIds(i), m), lut)) {
-        val (cell, refs) = sc.cellWithRefs(leafIds(i))
-        if (refs.isExpensive && CellId.level(cell) < CellId.MaxLevel) {
-          val children = sc.split(cell, polys)
+      val leaf = leafIds(i)
+      if (TaggedEntry.isExpensive(act.probe(leaf, m), lut)) {
+        // The stored cell containing `leaf`: its id sorts on either side.
+        val below = cells.floorEntry(leaf)
+        val cell = if (below != null && CellId.contains(below.getKey, leaf)) below.getKey
+                   else cells.ceilingKey(leaf)
+        if (CellId.level(cell) < CellId.MaxLevel) {
+          val children = SuperCovering.children(cell, cells.remove(cell), polys)
           var k = 0
           while (k < 4) {
-            act.writeCell(CellId.child(cell, k), TaggedEntry.encode(children(k), lut))
+            val child = CellId.child(cell, k)
+            if (!children(k).isEmpty) cells.put(child, children(k))
+            act.writeCell(child, TaggedEntry.encode(children(k), lut))
             k += 1
           }
           refinements += 1
@@ -216,7 +234,8 @@ final class ActIndex(val polys: Array[Polygon],
       }
       i += 1
     }
-    sc.fold()
+    sc.replaceWith(cells.keySet.stream.mapToLong(id => id).toArray,
+                   cells.values.toArray(new Array[RefList](0)))
     refinements
   }
 

@@ -12,128 +12,52 @@ import scala.collection.parallel.CollectionConverters._
   * Cells are kept as two sorted arrays, cell ids in one and their refs in
   * the other; because stored cells are pairwise disjoint, containment
   * queries are O(log n) neighbour lookups on the id order (S2CellUnion-style
-  * range arithmetic). Training (§3.3.1), the one change after the build and
-  * refinement, splits cells one at a time: a split base cell is marked dead,
-  * and the cells training creates are kept in a small `TreeMap` beside the
-  * arrays. Every query sees the two merged, and [[ActIndex.train]] folds
-  * them back into the arrays ([[fold]]) when it returns.
+  * range arithmetic). Precision refinement and training each end by
+  * replacing both arrays ([[replaceWith]]); training keeps its working set
+  * in a map of its own while it runs ([[ActIndex.train]]).
   *
-  * Invariant: the live base cells and the created cells are pairwise
-  * disjoint (no cell contains another), and no ref list is empty. Created
-  * cells lie inside dead base cells.
+  * Invariant: the stored cells are pairwise disjoint (no cell contains
+  * another), and no ref list is empty.
   */
 final class SuperCovering private (private var ids: Array[Long],
                                    private var refs: Array[RefList]) extends Serializable {
-  /** Base cells that training split. */
-  private val dead = new java.util.BitSet
-  /** Cells training created, by id. */
-  private val created = new java.util.TreeMap[Long, RefList]()
 
-  def cellCount: Int = ids.length - dead.cardinality + created.size
+  def cellCount: Int = ids.length
 
   /** The refs stored for `cell`, or empty if `cell` is not stored. */
   def refsOf(cell: Long): RefList = {
-    val i = liveIndexOf(cell)
-    if (i >= 0) refs(i) else created.getOrDefault(cell, RefList.empty)
-  }
-
-  /** The index of `cell` among the base cells, if it is stored there and
-    * training has not split it, or -1.
-    */
-  private def liveIndexOf(cell: Long): Int = {
     val i = java.util.Arrays.binarySearch(ids, cell)
-    if (i >= 0 && !dead.get(i)) i else -1
+    if (i >= 0) refs(i) else RefList.empty
   }
 
-  /** The (unique, by disjointness) stored cell containing leaf id `leaf`
-    * and its refs, or `(0, RefList.empty)` if none: one search, for
-    * training.
-    */
-  def cellWithRefs(leaf: Long): (Long, RefList) = {
-    val i = baseIndexContaining(leaf)
-    if (i < 0) return (0L, RefList.empty) // created cells lie inside base cells
-    if (!dead.get(i)) return (ids(i), refs(i))
-    val fl = created.floorEntry(leaf)
-    if (fl != null && CellId.contains(fl.getKey, leaf)) return (fl.getKey, fl.getValue)
-    val ce = created.ceilingEntry(leaf)
-    if (ce != null && CellId.contains(ce.getKey, leaf)) return (ce.getKey, ce.getValue)
-    (0L, RefList.empty)
-  }
-
-  /** The stored cell containing leaf id `leaf`, or 0 if none. */
-  def cellContainingLeaf(leaf: Long): Long = cellWithRefs(leaf)._1
-
-  /** The index of the base cell, dead or alive, containing leaf id `leaf`,
-    * or -1. A cell's own id can sort after a leaf inside it, so both
+  /** The (unique, by disjointness) stored cell containing leaf id `leaf`, or
+    * 0 if none. A cell's own id can sort after a leaf inside it, so both
     * id-order neighbours are checked.
     */
-  private def baseIndexContaining(leaf: Long): Int = {
+  def cellContainingLeaf(leaf: Long): Long = {
     val r = java.util.Arrays.binarySearch(ids, leaf)
-    if (r >= 0) return r
+    if (r >= 0) return ids(r)
     val next = -r - 1
-    if (next > 0 && CellId.contains(ids(next - 1), leaf)) next - 1
-    else if (next < ids.length && CellId.contains(ids(next), leaf)) next
-    else -1
+    if (next > 0 && CellId.contains(ids(next - 1), leaf)) ids(next - 1)
+    else if (next < ids.length && CellId.contains(ids(next), leaf)) ids(next)
+    else 0L
   }
 
-  /** Replace stored `cell` by its four children, each with the cell's refs
-    * reclassified against it ([[SuperCovering.children]]); children outside
-    * every referenced polygon are not stored. Returns the children's refs in
-    * child order, empty for those not stored. Training's step (§3.3.1).
-    */
-  def split(cell: Long, polys: Array[Polygon]): Array[RefList] = {
-    val i = liveIndexOf(cell)
-    val cellRefs = if (i >= 0) { dead.set(i); refs(i) } else created.remove(cell)
-    val children = SuperCovering.children(cell, cellRefs, polys)
-    var k = 0
-    while (k < 4) {
-      if (!children(k).isEmpty) created.put(CellId.child(cell, k), children(k))
-      k += 1
-    }
-    children
-  }
-
-  /** Iterate (cellId, refs) in id order: a dead base cell's place is taken
-    * by the created cells inside it.
-    */
+  /** Iterate (cellId, refs) in id order. */
   def foreachCell(f: (Long, RefList) => Unit): Unit = {
     var i = 0
-    while (i < ids.length) {
-      if (!dead.get(i)) f(ids(i), refs(i))
-      else created.subMap(CellId.rangeMin(ids(i)), true, CellId.rangeMax(ids(i)), true)
-        .forEach((id, r) => f(id, r))
-      i += 1
-    }
+    while (i < ids.length) { f(ids(i), refs(i)); i += 1 }
   }
 
-  /** The stored cells in id order, as cell ids and their refs. Until
-    * training splits a cell these are the stored arrays themselves, so
-    * callers must not modify them.
+  /** The stored cells in id order, as cell ids and their refs: the stored
+    * arrays themselves, so callers must not modify them.
     */
-  def toSortedArrays: (Array[Long], Array[RefList]) =
-    if (dead.isEmpty && created.isEmpty) (ids, refs)
-    else {
-      val outIds = new Array[Long](cellCount)
-      val outRefs = new Array[RefList](cellCount)
-      var i = 0
-      foreachCell { (id, r) => outIds(i) = id; outRefs(i) = r; i += 1 }
-      (outIds, outRefs)
-    }
-
-  /** Fold training's overlay into the sorted arrays: the dead base cells
-    * leave them, and the created cells take their places.
-    */
-  private[core] def fold(): Unit = {
-    val (ids, refs) = toSortedArrays
-    replaceWith(ids, refs)
-  }
+  def toSortedArrays: (Array[Long], Array[RefList]) = (ids, refs)
 
   /** Make `ids` and `refs`, sorted and disjoint, the stored cells. */
-  private def replaceWith(ids: Array[Long], refs: Array[RefList]): Unit = {
+  private[core] def replaceWith(ids: Array[Long], refs: Array[RefList]): Unit = {
     this.ids = ids
     this.refs = refs
-    dead.clear()
-    created.clear()
   }
 }
 

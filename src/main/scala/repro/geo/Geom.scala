@@ -306,9 +306,12 @@ object Polygon {
     ok
   }
 
-  /** Proper/touching crossing test between segments a-b and c-d (used only
-    * in the SI baseline's parity count; endpoint-degenerate configurations
-    * are measure-zero for our float workloads).
+  /** Strict crossing test between segments a-b and c-d, used only in the
+    * SI baseline's parity count: the segments cross only where each one's
+    * endpoints lie strictly on opposite sides of the other, so a touching
+    * or collinear configuration, such as an endpoint on the other segment,
+    * is no crossing. Query points on edges and vertices hit exactly these
+    * cases, and SI then disagrees with the naive join (ROADMAP item 4).
     */
   def segmentsCross(ax: Double, ay: Double, bx: Double, by: Double,
                     cx: Double, cy: Double, dx: Double, dy: Double): Boolean = {

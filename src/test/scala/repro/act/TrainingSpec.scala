@@ -156,18 +156,20 @@ class TrainingSpec extends AnyFunSuite {
     (cells, refinements, onBase, onCreated)
   }
 
+  /** 1 M taxi training points, as the benchmark's boroughs workload trains. */
+  private lazy val millionTaxi = SpatialData.pointArrays(1000000, taxi = true, seed = 2009L)._3
+
   /** `build` trained by [[ActIndex.train]] and by [[trainOverTreeMap]] on
     * 1 M taxi points, under the Table 6 budget (16 MiB of growth) and
     * without one: the refinements, cells, refs and ACT sizes must agree.
     * Returns the oracle's splits of copied and of created cells, unbudgeted.
     */
   private def assertTrainsLikeTreeMap(build: () => ActIndex): (Long, Long) = {
-    val points = SpatialData.pointArrays(1000000, taxi = true, seed = 2009L)._3
     val unbudgeted = for (budgeted <- Seq(true, false)) yield {
       val Seq(idx, ref) = Seq.fill(2)(build())
       val maxBytes = if (budgeted) idx.act.sizeBytes + 16L * 1024 * 1024 else Long.MaxValue
-      val refinements = idx.train(points, maxBytes)
-      val (cells, expected, onBase, onCreated) = trainOverTreeMap(ref, points, maxBytes)
+      val refinements = idx.train(millionTaxi, maxBytes)
+      val (cells, expected, onBase, onCreated) = trainOverTreeMap(ref, millionTaxi, maxBytes)
       val what = if (budgeted) "under the budget" else "without a budget"
       assert(refinements == expected, what)
       assert(InsertMerge.cellsOf(idx.sc) == cells, what)
@@ -187,6 +189,23 @@ class TrainingSpec extends AnyFunSuite {
     val polys = SpatialData.neighborhoods()
     val (onBase, onCreated) = assertTrainsLikeTreeMap(() => ActIndex.build(polys, 8, Some(4.0)))
     assert(onBase > 0 && onCreated > 0, s"splits of built cells: $onBase, of trained cells: $onCreated")
+  }
+
+  test("training in two calls equals training in one: boroughs and neighborhoods at 4 m, with and without a budget") {
+    // Between calls the trained cells live only in the super covering's
+    // arrays, so the second call must pick up every cell the first created.
+    val (a, b) = millionTaxi.splitAt(millionTaxi.length / 2)
+    val builds = Seq("boroughs" -> (() => ActIndex.build(SpatialData.boroughs(), 8, None)),
+      "neighborhoods at 4 m" -> (() => ActIndex.build(SpatialData.neighborhoods(), 8, Some(4.0))))
+    for ((name, build) <- builds; budgeted <- Seq(true, false)) {
+      val Seq(twice, once) = Seq.fill(2)(build())
+      val maxBytes = if (budgeted) twice.act.sizeBytes + 16L * 1024 * 1024 else Long.MaxValue
+      val refinements = twice.train(a, maxBytes) + twice.train(b, maxBytes)
+      val what = s"$name ${if (budgeted) "under the budget" else "without a budget"}"
+      assert(refinements == once.train(a ++ b, maxBytes), what)
+      assert(InsertMerge.cellsOf(twice.sc) == InsertMerge.cellsOf(once.sc), what)
+      assert(twice.act.sizeBytes == once.act.sizeBytes, what)
+    }
   }
 
   private def serialize(o: AnyRef): Array[Byte] = {
